@@ -603,7 +603,8 @@ def run_experiment(config: dict, out_dir) -> dict:
         "artifacts": artifacts,
     }
     if problem is not None:
-        report["problem"] = corpus.describe_problem(cfg["problem"])
+        # describe the instance the runner built; the matrix goes in as a hash
+        report["problem"] = corpus._describe(cfg["problem"], problem, full_matrix=False)
     report = _jsonable(report)
 
     table_csv = emit_table(report, "csv")

@@ -22,6 +22,8 @@ consistent by construction.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from .problem import ProblemInstance, as_vector, jacobian, norm
@@ -266,7 +268,16 @@ def describe_problem(spec: dict) -> dict:
     Echoes the specification and adds what reproduction needs: the
     dimension, the data vector, and for linear problems the full matrix.
     """
-    problem = problem_from_dict(spec)
+    return _describe(spec, problem_from_dict(spec), full_matrix=True)
+
+
+def _describe(spec: dict, problem: ProblemInstance, full_matrix: bool) -> dict:
+    """Describe an already built ``problem`` of ``spec``.
+
+    A linear problem's matrix goes in as ``matrix`` (nested lists) when
+    ``full_matrix`` is set, and otherwise as ``matrix_sha256``, the
+    SHA-256 of its C-contiguous float64 bytes.
+    """
     out = {
         "spec": spec,
         "name": problem.name,
@@ -282,5 +293,9 @@ def describe_problem(spec: dict) -> dict:
     if problem.known_solution is not None:
         out["known_solution"] = problem.known_solution.tolist()
     if problem.is_linear:
-        out["matrix"] = jacobian(problem, np.zeros(problem.dim)).tolist()
+        m = np.ascontiguousarray(jacobian(problem, np.zeros(problem.dim)), dtype=np.float64)
+        if full_matrix:
+            out["matrix"] = m.tolist()
+        else:
+            out["matrix_sha256"] = hashlib.sha256(m.tobytes()).hexdigest()
     return out

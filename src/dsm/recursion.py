@@ -66,20 +66,22 @@ def unrolled_bound(g1, a, b) -> np.ndarray:
 
     Entry m is ``sum_k b_k prod_{j>k} (1 - a_j) + g1 prod_j (1 - a_j)``
     with products over steps up to m, accumulated backward so no
-    division by small products occurs.
+    division by small products occurs.  ``cumprod`` and ``cumsum`` add
+    and multiply in sequence, so every entry is bit-identical to the
+    scalar walk over k = m..1; pairwise reductions (``sum``, ``@``) are
+    avoided because they would change the last bits.
     """
     g1, a, b = _validate(g1, a, b)
     out = np.empty(a.size + 1)
     out[0] = g1
     q = 1.0 - a
     for m in range(1, a.size + 1):
-        prod = 1.0
-        total = 0.0
-        # walk k = m..1; prod holds prod_{j=k+1}^{m} (1 - a_j)
-        for k in range(m - 1, -1, -1):
-            total += b[k] * prod
-            prod *= q[k]
-        out[m] = total + g1 * prod
+        # walk k = m-1..0: prods[i] = q[m-1] * ... * q[k] and before[i],
+        # the weight of b[k], is the product over the steps after k
+        prods = np.cumprod(q[m - 1 :: -1])
+        before = np.concatenate(([1.0], prods[:-1]))
+        total = np.cumsum(b[m - 1 :: -1] * before)[-1]
+        out[m] = total + g1 * prods[-1]
     return out
 
 

@@ -197,7 +197,7 @@ def minimal_norm_solution(problem: ProblemInstance) -> np.ndarray:
         m = jacobian(problem, np.zeros(problem.dim))
         u_mat, sing, vt = np.linalg.svd(m)
         cutoff = 1e-12 * (sing[0] if sing.size else 0.0)
-        inv = np.where(sing > cutoff, np.divide(1.0, sing, where=sing > 0), 0.0)
+        inv = np.divide(1.0, sing, out=np.zeros_like(sing), where=sing > cutoff)
         y = vt.T @ (inv * (u_mat.T @ problem.data))
     elif problem.is_strictly_monotone and problem.known_solution is not None:
         y = problem.known_solution.copy()

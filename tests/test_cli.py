@@ -1,10 +1,11 @@
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dsm import NumericalFailure, emit_table, main, run_experiment
+from dsm import NumericalFailure, corpus, emit_table, main, run_experiment
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -78,6 +79,36 @@ class TestRunExperiment:
         assert lines[0] == "n,eps_n,h_n,residual_n,oracle_g_n,oracle_b_n"
         # the final row records state only; no step was taken from it
         assert lines[-1].split(",")[2] == ""
+
+    def test_linear_report_hashes_the_matrix(self, tmp_path):
+        report = run_experiment(load_config("reg-path.json"), tmp_path)
+        block = json.loads((tmp_path / "report.json").read_text())["problem"]
+        assert block == report["problem"]
+        assert block["name"] == "psd-singular-linear"
+        assert "matrix" not in block
+        rebuilt = corpus.problem_from_dict(block["spec"])
+        matrix = np.ascontiguousarray(rebuilt.jacobian(np.zeros(rebuilt.dim)), dtype=np.float64)
+        assert block["matrix_sha256"] == hashlib.sha256(matrix.tobytes()).hexdigest()
+
+    def test_nonlinear_report_has_no_matrix(self, tmp_path):
+        report = run_experiment(load_config("flow.json"), tmp_path)
+        assert report["problem"]["name"] == "cubic-monotone"
+        assert "matrix" not in report["problem"]
+        assert "matrix_sha256" not in report["problem"]
+
+    def test_each_experiment_builds_its_problem_once(self, tmp_path, monkeypatch):
+        builds = []
+        build = corpus.problem_from_dict
+
+        def counting(spec):
+            builds.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(corpus, "problem_from_dict", counting)
+        for name in ("flow", "iterate", "reg-path", "noise-study", "lemma-sim"):
+            builds.clear()
+            run_experiment(load_config(f"{name}.json"), tmp_path / name)
+            assert len(builds) == (0 if name == "lemma-sim" else 1), name
 
     def test_noise_stopping_errors_decrease(self, tmp_path):
         report = run_experiment(load_config("noise-study.json"), tmp_path)

@@ -47,7 +47,36 @@ class TestSimulateRecursion:
             simulate_recursion(1.0, np.full(3, 0.5), np.zeros(4))
 
 
+def scalar_unrolled_bound(g1, a, b):
+    """The unrolled bound as a scalar double loop: the reference for bits."""
+    out = np.empty(a.size + 1)
+    out[0] = g1
+    q = 1.0 - a
+    for m in range(1, a.size + 1):
+        prod = 1.0
+        total = 0.0
+        for k in range(m - 1, -1, -1):
+            total += b[k] * prod
+            prod *= q[k]
+        out[m] = total + g1 * prod
+    return out
+
+
+admissible_sequences = st.integers(1, 300).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.floats(0.0, 0.5, exclude_min=True), min_size=n, max_size=n),
+        st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n),
+    )
+)
+
+
 class TestUnrolledBound:
+    @settings(max_examples=100, deadline=None)
+    @given(g1=st.floats(0.0, 1e3), ab=admissible_sequences)
+    def test_bit_identical_to_scalar_loop(self, g1, ab):
+        a, b = (np.array(x) for x in ab)
+        assert np.array_equal(unrolled_bound(g1, a, b), scalar_unrolled_bound(g1, a, b))
+
     def test_no_forcing_reduces_to_product(self):
         out = unrolled_bound(2.0, np.full(3, 0.5), np.zeros(3))
         assert out[3] == pytest.approx(2.0 / 8.0, rel=1e-15)
