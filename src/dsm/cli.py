@@ -232,9 +232,15 @@ def _run_iterate(cfg: dict, out_dir: Path):
     checks = []
     if tracked and len(history.steps) >= 2:
         report = iterate.verify_step_recursion(problem, history, slack=float(cfg["slack"]))
+        # worst relative excess of either inequality: the contraction
+        # g_{n+1} <= bound and the schedule eps_n >= 2 c g_n
         excess = 0.0
         for rec in report.records:
-            excess = max(excess, (rec.gap_next - rec.bound) / max(rec.bound, _TINY))
+            excess = max(
+                excess,
+                (rec.gap_next - rec.bound) / max(rec.bound, _TINY),
+                (rec.curvature_threshold - rec.epsilon) / max(rec.epsilon, _TINY),
+            )
         checks.append(
             _check(CHECK_RECURSION_STEP, excess, float(cfg["slack"]), passed=report.passed)
         )

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +83,24 @@ class TestRunExperiment:
         # the final row records state only; no step was taken from it
         assert lines[-1].split(",")[2] == ""
 
+    # at eps0 1e-6 both halves of the check fail; at eps0 1 the contraction
+    # still holds and only eps_n >= 2 c g_n is broken
+    @pytest.mark.parametrize("eps0", [1e-6, 1.0])
+    def test_recursion_step_observes_schedule_excess(self, tmp_path, eps0):
+        cfg = load_config("iterate.json")
+        cfg["schedule"] = {"kind": "geometric", "eps0": eps0, "ratio": 0.5}
+        report = run_experiment(cfg, tmp_path)
+        (check,) = report["runs"][0]["checks"]
+        assert check["check"] == "recursion-step"
+        assert check["observed"] > check["bound"]
+        assert check["pass"] is False
+
+    def test_matched_run_observes_no_excess(self, tmp_path):
+        report = run_experiment(load_config("iterate.json"), tmp_path)
+        (check,) = report["runs"][0]["checks"]
+        assert check["observed"] == 0.0
+        assert check["pass"] is True
+
     def test_linear_report_hashes_the_matrix(self, tmp_path):
         report = run_experiment(load_config("reg-path.json"), tmp_path)
         block = json.loads((tmp_path / "report.json").read_text())["problem"]
@@ -120,6 +141,23 @@ class TestRunExperiment:
 
 
 class TestCliEntryPoint:
+    def test_python_m_dsm_runs_without_warnings(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "dsm", "iterate",
+             "--config", str(CONFIGS / "iterate.json"), "--out", str(tmp_path)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert (tmp_path / "report.json").exists()
+
     def run(self, capsys, *argv):
         code = main(list(argv))
         out = capsys.readouterr()

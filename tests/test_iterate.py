@@ -4,12 +4,16 @@ import math
 import numpy as np
 import pytest
 
+import dsm.iterate
 from dsm import (
+    NumericalFailure,
     Schedule,
     StepRule,
     apply_operator,
     iterate_step,
     jacobian,
+    make_cubic_monotone,
+    make_random_monotone,
     norm,
     run_iteration,
     solve_regularized,
@@ -262,3 +266,43 @@ class TestStepRecursionCertificate:
             lin = (jacobian(cubic, cur.u) + cur.epsilon * np.eye(cubic.dim)) @ z
             remainder = norm(lhs - lin)
             assert remainder <= 0.5 * cubic.m2_bound * cur.gap**2 * (1 + 1e-8)
+
+
+class TestMatchedSchedule:
+    # seeds at which a root returned without re-checking its own gap left
+    # eps_n below 2 c g_n by more than the check's slack
+    @pytest.mark.parametrize("seed", [8, 11, 12, 13, 15, 16, 19])
+    def test_schedule_holds_exactly_on_random_monotone(self, seed):
+        p = make_random_monotone(dim=20, seed=seed)
+        hist = run_iteration(p, Schedule.oracle(), StepRule.constant_h(0.5), 40)
+        c = 0.5 * p.m2_bound
+        for s in hist.steps:
+            assert s.epsilon >= 2.0 * c * s.gap
+        assert verify_step_recursion(p, hist).passed
+
+    def test_root_solves_per_matched_step(self, monkeypatch):
+        calls = []
+        solve = dsm.iterate.solve_regularized
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(dsm.iterate, "solve_regularized", counted)
+        p = make_cubic_monotone(dim=10)
+        hist = run_iteration(
+            p, Schedule.oracle(), StepRule.constant_p(SQRT_E), 40, stop_residual=0.0
+        )
+        assert len(hist.steps) == 41
+        assert len(calls) / len(hist.steps) <= 10.0
+
+    def test_failure_names_layer_step_and_bracket(self, cubic, monkeypatch):
+        monkeypatch.setattr(dsm.iterate, "_MAX_FP_EVALS", 2)
+        with pytest.raises(NumericalFailure) as err:
+            run_iteration(cubic, Schedule.oracle(), StepRule.constant_p(SQRT_E), 5)
+        text = str(err.value)
+        assert text.startswith("iterate:")
+        assert "n=0" in text
+        assert "bracket [lo, hi] = [" in text
+        assert "last eps=" in text
+        assert "phi=" in text
