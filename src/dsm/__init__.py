@@ -7,139 +7,32 @@ corpus of finite-dimensional test problems, a discrete iteration with
 verifiable per-step contraction, scalar recursion certificates for the
 convergence argument, and an experiment runner that checks every bound
 numerically.
+
+Every name in a layer's ``__all__`` is re-exported here.  The experiment
+runner's names are loaded from ``dsm.cli`` on first use (PEP 562), so
+``import dsm`` does not import the runner and ``python -m dsm.cli`` runs
+it without a second copy.
 """
 
-from .problem import (
-    NumericalFailure,
-    MonotonicityReport,
-    ProblemInstance,
-    TaylorReport,
-    apply_operator,
-    as_matrix,
-    as_vector,
-    check_monotonicity,
-    inner,
-    jacobian,
-    norm,
-    taylor_remainder_check,
-)
-from .linsolve import MAX_DIM, RegSolveReport, reg_solve
-from .regroot import (
-    RegPathEntry,
-    RegPathResult,
-    RegRoot,
-    default_newton_tol,
-    minimal_norm_solution,
-    regularization_path,
-    solve_regularized,
-)
-from .flow import (
-    FlowResult,
-    NoisyStoppingResult,
-    StoppingResult,
-    flow_field,
-    integrate_flow,
-    residual_value,
-    solve_noisy_to_stopping,
-    solve_to_stopping,
-    stopping_time,
-)
-from .iterate import (
-    IterationHistory,
-    IterationStep,
-    RecursionReport,
-    Schedule,
-    StepBoundRecord,
-    StepRule,
-    iterate_step,
-    run_iteration,
-    verify_step_recursion,
-)
-from .recursion import (
-    ChainReport,
-    HorizonReport,
-    check_bound_chain,
-    exponential_majorant,
-    geometric_weighted_sum,
-    horizon_diagnostics,
-    simulate_recursion,
-    unrolled_bound,
-)
-from .corpus import (
-    add_noise,
-    corpus_names,
-    describe_problem,
-    make_cubic_monotone,
-    make_hilbert_psd,
-    make_problem,
-    make_psd_singular_linear,
-    make_random_monotone,
-    problem_from_dict,
-)
-from .cli import emit_table, main, run_experiment
+import importlib
+
+from . import corpus, flow, iterate, linsolve, problem, recursion, regroot
+from .corpus import *  # noqa: F401,F403
+from .flow import *  # noqa: F401,F403
+from .iterate import *  # noqa: F401,F403
+from .linsolve import *  # noqa: F401,F403
+from .problem import *  # noqa: F401,F403
+from .recursion import *  # noqa: F401,F403
+from .regroot import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "NumericalFailure",
-    "MonotonicityReport",
-    "ProblemInstance",
-    "TaylorReport",
-    "apply_operator",
-    "as_matrix",
-    "as_vector",
-    "check_monotonicity",
-    "inner",
-    "jacobian",
-    "norm",
-    "taylor_remainder_check",
-    "MAX_DIM",
-    "RegSolveReport",
-    "reg_solve",
-    "RegPathEntry",
-    "RegPathResult",
-    "RegRoot",
-    "default_newton_tol",
-    "minimal_norm_solution",
-    "regularization_path",
-    "solve_regularized",
-    "FlowResult",
-    "NoisyStoppingResult",
-    "StoppingResult",
-    "flow_field",
-    "integrate_flow",
-    "residual_value",
-    "solve_noisy_to_stopping",
-    "solve_to_stopping",
-    "stopping_time",
-    "IterationHistory",
-    "IterationStep",
-    "RecursionReport",
-    "Schedule",
-    "StepBoundRecord",
-    "StepRule",
-    "iterate_step",
-    "run_iteration",
-    "verify_step_recursion",
-    "ChainReport",
-    "HorizonReport",
-    "check_bound_chain",
-    "exponential_majorant",
-    "geometric_weighted_sum",
-    "horizon_diagnostics",
-    "simulate_recursion",
-    "unrolled_bound",
-    "add_noise",
-    "corpus_names",
-    "describe_problem",
-    "make_cubic_monotone",
-    "make_hilbert_psd",
-    "make_problem",
-    "make_psd_singular_linear",
-    "make_random_monotone",
-    "problem_from_dict",
-    "emit_table",
-    "main",
-    "run_experiment",
-    "__version__",
-]
+_LAYERS = (problem, linsolve, regroot, flow, iterate, recursion, corpus)
+_CLI_NAMES = ("emit_table", "main", "run_experiment")
+__all__ = [name for layer in _LAYERS for name in layer.__all__] + [*_CLI_NAMES, "__version__"]
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        return getattr(importlib.import_module(".cli", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -29,11 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, flow, iterate, recursion, regroot
-from .problem import NumericalFailure, as_vector, inner, norm
+from .corpus import OPTIONAL, REQUIRED, _coerce
+from .problem import NumericalFailure, inner, norm
 
 __all__ = ["run_experiment", "emit_table", "main"]
-
-KINDS = ("flow", "iterate", "reg-path", "noise-study", "lemma-sim")
 
 # Bound checks are reported under stable names so downstream tooling can
 # key on them; each name states what the inequality controls.
@@ -68,38 +67,16 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):  # arrays and numpy scalars
+        return _jsonable(obj.tolist())
     return obj
-
-
-def _merge_defaults(config: dict, defaults: dict, required: tuple, kind: str) -> dict:
-    allowed = set(defaults) | set(required) | {"kind", "seed"}
-    unknown = set(config) - allowed
-    if unknown:
-        raise ValueError(f"unknown config keys for kind {kind!r}: {sorted(unknown)}")
-    missing = [k for k in required if k not in config]
-    if missing:
-        raise ValueError(f"missing config keys for kind {kind!r}: {missing}")
-    out = dict(defaults)
-    out.update(config)
-    out["kind"] = kind
-    out.setdefault("seed", 0)
-    out["seed"] = int(out["seed"])
-    return out
 
 
 # ---------------------------------------------------------------------------
 # flow
 
 
-def _flow_tables(problem, traj, root_v, slack):
+def _flow_tables(traj, root_v, slack):
     g0 = float(traj.residuals[0])
     rows = []
     max_dev = 0.0
@@ -118,26 +95,25 @@ def _flow_tables(problem, traj, root_v, slack):
 
 def _run_flow(cfg: dict, out_dir: Path):
     problem = corpus.problem_from_dict(cfg["problem"])
-    eps = float(cfg["epsilon"])
+    eps = cfg["epsilon"]
     at_stopping = cfg["t_end"] is None
-    t_end = flow.stopping_time(eps) if at_stopping else float(cfg["t_end"])
-    u0 = None if cfg["u0"] is None else cfg["u0"]
+    t_end = flow.stopping_time(eps) if at_stopping else cfg["t_end"]
     traj = flow.integrate_flow(
         problem,
         eps,
         t_end,
-        checkpoints=int(cfg["checkpoints"]),
-        u0=u0,
-        rtol=float(cfg["rtol"]),
-        atol=float(cfg["atol"]),
+        checkpoints=cfg["checkpoints"],
+        u0=cfg["u0"],
+        rtol=cfg["rtol"],
+        atol=cfg["atol"],
     )
     root = regroot.solve_regularized(problem, eps)
-    slack = float(cfg["slack"])
-    rows, max_dev, max_gap_ratio = _flow_tables(problem, traj, root.v, slack)
+    slack = cfg["slack"]
+    rows, max_dev, max_gap_ratio = _flow_tables(traj, root.v, slack)
     g0 = float(traj.residuals[0])
 
     checks = [
-        _check(CHECK_RESIDUAL_DECAY, max_dev, float(cfg["decay_tol"])),
+        _check(CHECK_RESIDUAL_DECAY, max_dev, cfg["decay_tol"]),
         _check(CHECK_FLOW_LIMIT_GAP, max_gap_ratio, slack),
     ]
     if at_stopping:
@@ -173,65 +149,21 @@ def _run_flow(cfg: dict, out_dir: Path):
 # iterate
 
 
-def _schedule_from_cfg(d) -> iterate.Schedule:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ValueError("schedule must be a mapping with a 'kind'")
-    kind = d["kind"]
-    keys = set(d) - {"kind"}
-    if kind == "constant":
-        if keys != {"epsilon"}:
-            raise ValueError("constant schedule takes exactly 'epsilon'")
-        return iterate.Schedule.constant(float(d["epsilon"]))
-    if kind == "geometric":
-        if not {"eps0", "ratio"} <= keys or keys - {"eps0", "ratio", "floor"}:
-            raise ValueError("geometric schedule takes 'eps0', 'ratio', optional 'floor'")
-        return iterate.Schedule.geometric(
-            float(d["eps0"]), float(d["ratio"]), float(d.get("floor", 0.0))
-        )
-    if kind == "oracle":
-        if keys - {"floor"}:
-            raise ValueError("oracle schedule takes only an optional 'floor'")
-        return iterate.Schedule.oracle(float(d.get("floor", 0.0)))
-    raise ValueError(f"unknown schedule kind {kind!r}")
-
-
-def _steprule_from_cfg(d) -> iterate.StepRule:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ValueError("step_rule must be a mapping with a 'kind'")
-    kind = d["kind"]
-    keys = set(d) - {"kind"}
-    if kind == "constant_p":
-        if keys != {"p"}:
-            raise ValueError("constant_p step rule takes exactly 'p'")
-        return iterate.StepRule.constant_p(float(d["p"]))
-    if kind == "constant_h":
-        if keys != {"h"}:
-            raise ValueError("constant_h step rule takes exactly 'h'")
-        return iterate.StepRule.constant_h(float(d["h"]))
-    if kind == "explicit":
-        if keys != {"h"}:
-            raise ValueError("explicit step rule takes exactly 'h' (a list)")
-        return iterate.StepRule.explicit(d["h"])
-    raise ValueError(f"unknown step rule kind {kind!r}")
-
-
 def _run_iterate(cfg: dict, out_dir: Path):
     problem = corpus.problem_from_dict(cfg["problem"])
-    schedule = _schedule_from_cfg(cfg["schedule"])
-    rule = _steprule_from_cfg(cfg["step_rule"])
     history = iterate.run_iteration(
         problem,
-        schedule,
-        rule,
-        int(cfg["max_n"]),
+        _build(_SCHEDULES, cfg["schedule"]),
+        _build(_STEP_RULES, cfg["step_rule"]),
+        cfg["max_n"],
         u0=cfg["u0"],
-        stop_residual=None if cfg["stop_residual"] is None else float(cfg["stop_residual"]),
-        record_roots=bool(cfg["record_roots"]),
+        stop_residual=cfg["stop_residual"],
+        record_roots=cfg["record_roots"],
     )
     tracked = history.steps[0].gap is not None
     checks = []
     if tracked and len(history.steps) >= 2:
-        report = iterate.verify_step_recursion(problem, history, slack=float(cfg["slack"]))
+        report = iterate.verify_step_recursion(problem, history, slack=cfg["slack"])
         # worst relative excess of either inequality: the contraction
         # g_{n+1} <= bound and the schedule eps_n >= 2 c g_n
         excess = 0.0
@@ -242,7 +174,7 @@ def _run_iterate(cfg: dict, out_dir: Path):
                 (rec.curvature_threshold - rec.epsilon) / max(rec.epsilon, _TINY),
             )
         checks.append(
-            _check(CHECK_RECURSION_STEP, excess, float(cfg["slack"]), passed=report.passed)
+            _check(CHECK_RECURSION_STEP, excess, cfg["slack"], passed=report.passed)
         )
     rows = [
         [s.index, s.epsilon, s.h, s.residual, s.gap, s.root_gap] for s in history.steps
@@ -271,11 +203,7 @@ def _run_iterate(cfg: dict, out_dir: Path):
 
 def _run_reg_path(cfg: dict, out_dir: Path):
     problem = corpus.problem_from_dict(cfg["problem"])
-    path = regroot.regularization_path(
-        problem,
-        [float(e) for e in cfg["epsilons"]],
-        newton_tol=None if cfg["newton_tol"] is None else float(cfg["newton_tol"]),
-    )
+    path = regroot.regularization_path(problem, cfg["epsilons"], newton_tol=cfg["newton_tol"])
     try:
         y = regroot.minimal_norm_solution(problem)
     except ValueError:
@@ -291,13 +219,13 @@ def _run_reg_path(cfg: dict, out_dir: Path):
         y_norm = norm(y)
         max_vnorm = max(e.v_norm for e in path.entries)
         checks.append(
-            _check(CHECK_NORM_DOMINANCE, max_vnorm, y_norm * (1.0 + float(cfg["norm_slack"])))
+            _check(CHECK_NORM_DOMINANCE, max_vnorm, y_norm * (1.0 + cfg["norm_slack"]))
         )
         worst = -math.inf
         for entry in path.entries:
             v = entry.root.v
             worst = max(worst, norm(v - y) ** 2 - inner(y, y - v))
-        checks.append(_check(CHECK_ERROR_INNER_BOUND, worst, float(cfg["inner_slack"])))
+        checks.append(_check(CHECK_ERROR_INNER_BOUND, worst, cfg["inner_slack"]))
 
     run = {
         "label": "reg-path",
@@ -325,13 +253,13 @@ def _run_reg_path(cfg: dict, out_dir: Path):
 
 def _run_noise_study(cfg: dict, out_dir: Path):
     problem = corpus.problem_from_dict(cfg["problem"])
-    deltas = [float(d) for d in cfg["deltas"]]
+    deltas = cfg["deltas"]
     if len(deltas) == 0:
         raise ValueError("deltas must be non-empty")
     if any(not (0.0 < d < 1.0) for d in deltas):
         raise ValueError("every delta must lie in (0, 1)")
-    slack = float(cfg["slack"])
-    seed = int(cfg["seed"])
+    slack = cfg["slack"]
+    seed = cfg["seed"]
     product_mode = cfg["epsilons"] is not None
     if product_mode == (cfg["b_exp"] is not None):
         raise ValueError("provide exactly one of 'epsilons' (grid) or 'b_exp' (stopping rule)")
@@ -339,9 +267,7 @@ def _run_noise_study(cfg: dict, out_dir: Path):
     runs = []
     rows = []
     if product_mode:
-        epsilons = [float(e) for e in cfg["epsilons"]]
-        if any(e <= 0 for e in epsilons):
-            raise ValueError("epsilons must be positive")
+        epsilons = cfg["epsilons"]
         columns = ["delta", "eps", "root_gap", "gap_bound"]
         max_ratio = 0.0
         cell = 0
@@ -364,19 +290,11 @@ def _run_noise_study(cfg: dict, out_dir: Path):
             }
         )
     else:
-        b_exp = float(cfg["b_exp"])
+        b_exp = cfg["b_exp"]
         if any(b >= a for a, b in zip(deltas, deltas[1:])):
             raise ValueError("deltas must be strictly decreasing for the stopping study")
         y = regroot.minimal_norm_solution(problem)
-        columns = [
-            "delta",
-            "eps",
-            "root_gap",
-            "gap_bound",
-            "stop_gap",
-            "stop_bound",
-            "err_at_stop",
-        ]
+        columns = ["delta", "eps", "root_gap", "gap_bound", "stop_gap", "stop_bound", "err_at_stop"]
         max_root_ratio = 0.0
         max_stop_ratio = 0.0
         errors = []
@@ -387,9 +305,9 @@ def _run_noise_study(cfg: dict, out_dir: Path):
                 f_noisy,
                 delta,
                 b_exp,
-                checkpoints=int(cfg["checkpoints"]),
-                rtol=float(cfg["rtol"]),
-                atol=float(cfg["atol"]),
+                checkpoints=cfg["checkpoints"],
+                rtol=cfg["rtol"],
+                atol=cfg["atol"],
             )
             eps = result.epsilon_used
             v = regroot.solve_regularized(problem, eps)
@@ -428,12 +346,7 @@ def _run_noise_study(cfg: dict, out_dir: Path):
         ]
         if len(errors) >= 2:
             sweep_checks.append(
-                _check(
-                    CHECK_NOISE_CONVERGENCE,
-                    worst_increase,
-                    1.0,
-                    passed=worst_increase < 1.0,
-                )
+                _check(CHECK_NOISE_CONVERGENCE, worst_increase, 1.0, passed=worst_increase < 1.0)
             )
         runs.append(
             {
@@ -454,42 +367,25 @@ def _run_noise_study(cfg: dict, out_dir: Path):
 # lemma-sim
 
 
-def _sequence_from_cfg(spec, horizon: int, name: str) -> np.ndarray:
-    if isinstance(spec, bool):
-        raise ValueError(f"{name} must be a number, list, or generator mapping")
-    if isinstance(spec, (int, float)):
-        return np.full(horizon, float(spec))
+def _sequence(spec, horizon: int, name: str) -> np.ndarray:
+    if isinstance(spec, float):
+        return np.full(horizon, spec)
     if isinstance(spec, list):
-        arr = np.asarray(spec, dtype=float)
-        if arr.size < horizon:
-            raise ValueError(f"{name} supplies {arr.size} terms but horizon is {horizon}")
-        return arr[:horizon]
-    if isinstance(spec, dict):
-        kind = spec.get("kind")
-        k = np.arange(1, horizon + 1, dtype=float)
-        if kind == "power":
-            keys = set(spec) - {"kind", "scale", "exponent"}
-            if keys:
-                raise ValueError(f"unknown power-sequence keys {sorted(keys)}")
-            return float(spec.get("scale", 1.0)) * k ** (-float(spec["exponent"]))
-        if kind == "geometric":
-            keys = set(spec) - {"kind", "scale", "ratio"}
-            if keys:
-                raise ValueError(f"unknown geometric-sequence keys {sorted(keys)}")
-            return float(spec.get("scale", 1.0)) * float(spec["ratio"]) ** k
-        raise ValueError(f"unknown sequence kind {kind!r} for {name}")
-    raise ValueError(f"{name} must be a number, list, or generator mapping")
+        if len(spec) < horizon:
+            raise ValueError(f"{name} supplies {len(spec)} terms but horizon is {horizon}")
+        return np.asarray(spec[:horizon])
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite terms are rejected later
+        return _build(_SEQUENCES, spec, np.arange(1, horizon + 1, dtype=float))
 
 
 def _run_lemma_sim(cfg: dict, out_dir: Path):
-    horizon = int(cfg["horizon"])
+    horizon = cfg["horizon"]
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
-    a = _sequence_from_cfg(cfg["a"], horizon, "a")
-    b = _sequence_from_cfg(cfg["b"], horizon, "b")
-    g1 = float(cfg["g1"])
-    slack = float(cfg["slack"])
-    chain = recursion.check_bound_chain(g1, a, b, slack=slack)
+    a = _sequence(cfg["a"], horizon, "a")
+    b = _sequence(cfg["b"], horizon, "b")
+    slack = cfg["slack"]
+    chain = recursion.check_bound_chain(cfg["g1"], a, b, slack=slack)
     diag = recursion.horizon_diagnostics(a, b, horizon)
 
     excess = 0.0
@@ -527,55 +423,105 @@ def _run_lemma_sim(cfg: dict, out_dir: Path):
 # assembly
 
 
-_DEFAULTS = {
-    "flow": (
-        dict(
-            epsilon=1e-2,
-            t_end=None,
-            checkpoints=10,
-            rtol=1e-8,
-            atol=1e-10,
-            decay_tol=1e-3,
-            slack=1.05,
-            u0=None,
-        ),
-        ("problem",),
-        _run_flow,
+# Size caps, checked before anything sized by them is allocated.
+MAX_CHECKPOINTS = 1000  # integrate_flow holds (checkpoints + 1) x dim states
+MAX_STEPS = 10_000  # run_iteration keeps every iterate and root it visits
+MAX_HORIZON = 100_000  # lemma-sim's certificates take O(horizon^2) time
+MAX_T_END = 1000.0  # g(0) exp(-t) underflows past t = 745; RK steps grow with t_end
+
+# Field tables: key -> (type, default) or (type, default, cap), read by
+# corpus._parse.  A variant table {kind: (constructor, fields)} is itself
+# a type: a mapping whose "kind" picks the constructor and its fields.
+_SCHEDULES = {
+    "constant": (iterate.Schedule.constant, {"epsilon": (float, REQUIRED)}),
+    "geometric": (
+        iterate.Schedule.geometric,
+        {"eps0": (float, REQUIRED), "ratio": (float, REQUIRED), "floor": (float, OPTIONAL)},
     ),
-    "iterate": (
-        dict(
-            max_n=60,
-            stop_residual=None,
-            record_roots=False,
-            slack=1e-8,
-            u0=None,
-        ),
-        ("problem", "schedule", "step_rule"),
-        _run_iterate,
+    "oracle": (iterate.Schedule.oracle, {"floor": (float, OPTIONAL)}),
+}
+_STEP_RULES = {
+    "constant_p": (iterate.StepRule.constant_p, {"p": (float, REQUIRED)}),
+    "constant_h": (iterate.StepRule.constant_h, {"h": (float, REQUIRED)}),
+    "explicit": (lambda h: iterate.StepRule.explicit(h), {"h": ([float], REQUIRED)}),
+}
+# lemma-sim generators, evaluated at k = 1..horizon
+_SEQUENCES = {
+    "power": (
+        lambda k, exponent, scale=1.0: scale * k ** (-exponent),
+        {"scale": (float, OPTIONAL), "exponent": (float, REQUIRED)},
     ),
-    "reg-path": (
-        dict(newton_tol=None, norm_slack=1e-8, inner_slack=1e-9),
-        ("problem", "epsilons"),
-        _run_reg_path,
-    ),
-    "noise-study": (
-        dict(
-            epsilons=None,
-            b_exp=None,
-            slack=1.05,
-            checkpoints=10,
-            rtol=1e-8,
-            atol=1e-10,
-        ),
-        ("problem", "deltas"),
-        _run_noise_study,
-    ),
-    "lemma-sim": (
-        dict(g1=1.0, slack=1e-12),
-        ("a", "b", "horizon"),
-        _run_lemma_sim,
+    "geometric": (
+        lambda k, ratio, scale=1.0: scale * ratio**k,
+        {"scale": (float, OPTIONAL), "ratio": (float, REQUIRED)},
     ),
 }
+_FLOW_TOLERANCES = {
+    "checkpoints": (int, 10, MAX_CHECKPOINTS),
+    "rtol": (float, 1e-8),
+    "atol": (float, 1e-10),
+}
+_FLOW_FIELDS = {
+    "problem": (dict, REQUIRED),
+    "epsilon": (float, 1e-2),
+    "t_end": ((float, None), None, MAX_T_END),
+    **_FLOW_TOLERANCES,
+    "decay_tol": (float, 1e-3),
+    "slack": (float, 1.05),
+    "u0": (([float], None), None),
+    "seed": (int, 0),
+}
+_ITERATE_FIELDS = {
+    "problem": (dict, REQUIRED),
+    "schedule": (_SCHEDULES, REQUIRED),
+    "step_rule": (_STEP_RULES, REQUIRED),
+    "max_n": (int, 60, MAX_STEPS),
+    "stop_residual": ((float, None), None),
+    "record_roots": (bool, False),
+    "slack": (float, 1e-8),
+    "u0": (([float], None), None),
+    "seed": (int, 0),
+}
+_REG_PATH_FIELDS = {
+    "problem": (dict, REQUIRED),
+    "epsilons": ([float], REQUIRED),
+    "newton_tol": ((float, None), None),
+    "norm_slack": (float, 1e-8),
+    "inner_slack": (float, 1e-9),
+    "seed": (int, 0),
+}
+_NOISE_STUDY_FIELDS = {
+    "problem": (dict, REQUIRED),
+    "deltas": ([float], REQUIRED),
+    "epsilons": (([float], None), None),
+    "b_exp": ((float, None), None),
+    "slack": (float, 1.05),
+    **_FLOW_TOLERANCES,
+    "seed": (int, 0),
+}
+_LEMMA_SIM_FIELDS = {
+    "a": ((float, [float], _SEQUENCES), REQUIRED),
+    "b": ((float, [float], _SEQUENCES), REQUIRED),
+    "horizon": (int, REQUIRED, MAX_HORIZON),
+    "g1": (float, 1.0),
+    "slack": (float, 1e-12),
+    "seed": (int, 0),
+}
+# kind -> (runner, fields, the CSV that holds the summary table)
+_EXPERIMENTS = {
+    "flow": (_run_flow, _FLOW_FIELDS, None),  # its CSV is the trajectory file
+    "iterate": (_run_iterate, _ITERATE_FIELDS, "history.csv"),
+    "reg-path": (_run_reg_path, _REG_PATH_FIELDS, "path.csv"),
+    "noise-study": (_run_noise_study, _NOISE_STUDY_FIELDS, "noise.csv"),
+    "lemma-sim": (_run_lemma_sim, _LEMMA_SIM_FIELDS, "sequences.csv"),
+}
+KINDS = tuple(_EXPERIMENTS)
+
+
+def _build(table: dict, spec: dict, *args):
+    """Call the constructor that ``table`` holds for a parsed variant ``spec``."""
+    params = dict(spec)
+    return table[params.pop("kind")][0](*args, **params)
 
 
 def run_experiment(config: dict, out_dir) -> dict:
@@ -585,13 +531,9 @@ def run_experiment(config: dict, out_dir) -> dict:
     reproducible for a fixed config; wall-clock timings are written to
     ``<out_dir>/timing.json`` so they never perturb the report.
     """
-    if not isinstance(config, dict):
-        raise ValueError("config must be a mapping")
-    kind = config.get("kind")
-    if kind not in KINDS:
-        raise ValueError(f"experiment kind must be one of {KINDS}, got {kind!r}")
-    defaults, required, runner = _DEFAULTS[kind]
-    cfg = _merge_defaults(config, defaults, required, kind)
+    cfg = _coerce(config, _EXPERIMENTS, "experiment")
+    kind = cfg["kind"]
+    runner, _, csv_name = _EXPERIMENTS[kind]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -613,16 +555,8 @@ def run_experiment(config: dict, out_dir) -> dict:
         report["problem"] = corpus._describe(cfg["problem"], problem, full_matrix=False)
     report = _jsonable(report)
 
-    table_csv = emit_table(report, "csv")
-    csv_name = {
-        "flow": None,  # the trajectory file is the flow's CSV artifact
-        "iterate": "history.csv",
-        "reg-path": "path.csv",
-        "noise-study": "noise.csv",
-        "lemma-sim": "sequences.csv",
-    }[kind]
     if csv_name is not None:
-        (out_dir / csv_name).write_text(table_csv)
+        (out_dir / csv_name).write_text(emit_table(report, "csv"))
 
     (out_dir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -659,7 +593,6 @@ def emit_table(report: dict, fmt: str = "markdown") -> str:
         for row in table["rows"]:
             lines.append(",".join(_fmt(v, "%.17g") for v in row))
         return "\n".join(lines) + "\n"
-    widths = None
     body = [[_fmt(v, "%.6g") for v in row] for row in table["rows"]]
     widths = [
         max(len(c), *(len(r[i]) for r in body)) if body else len(c)

@@ -23,10 +23,12 @@ consistent by construction.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
-from .problem import ProblemInstance, as_vector, jacobian, norm
+from .linsolve import MAX_DIM
+from .problem import ProblemInstance, as_matrix, as_vector, jacobian, norm
 
 __all__ = [
     "corpus_names",
@@ -178,13 +180,9 @@ def corpus_names() -> list[str]:
 
 def make_problem(name: str, **kwargs) -> ProblemInstance:
     """Build a corpus problem by name; kwargs go to its factory."""
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown corpus problem {name!r}; choose from {sorted(_FACTORIES)}"
-        ) from None
-    return factory(**kwargs)
+    if name not in _FACTORIES:
+        raise ValueError(f"unknown corpus problem {name!r}; choose from {sorted(_FACTORIES)}")
+    return _FACTORIES[name](**kwargs)
 
 
 def add_noise(f: np.ndarray, delta: float, seed: int) -> np.ndarray:
@@ -203,6 +201,91 @@ def add_noise(f: np.ndarray, delta: float, seed: int) -> np.ndarray:
     return f + delta * (eta / norm(eta))
 
 
+REQUIRED = object()  # field-table default: the key must be given
+OPTIONAL = object()  # field-table default: an absent key stays absent
+_EXPECTED = {int: "an integer", float: "a number", bool: "true or false",
+             str: "a string", dict: "a mapping", None: "null"}
+
+
+def _parse(spec: dict, fields: dict, where: str) -> dict:
+    """Coerce the mapping ``spec`` by a field table ``{key: (type, default)}``.
+
+    A row may add a cap, ``(type, default, cap)``.  Unknown keys are
+    rejected, a ``REQUIRED`` key must be given, an absent ``OPTIONAL``
+    key stays absent, and any other default fills an absent key.
+    """
+    unknown = [key for key in spec if key not in fields]
+    if unknown:
+        raise ValueError(f"unknown {where} options {unknown}")
+    out = {}
+    for key, (kind, default, *cap) in fields.items():
+        if key in spec:
+            out[key] = _coerce(spec[key], kind, f"{where} {key}", *cap)
+        elif default is REQUIRED:
+            raise ValueError(f"{where} needs {key!r}")
+        elif default is not OPTIONAL:
+            out[key] = default
+    return out
+
+
+def _coerce(value, kind, name: str, cap=None):
+    """Coerce one configuration value to ``kind`` without loss.
+
+    ``kind`` is ``int`` or ``float`` (at most ``cap``), ``bool``, ``str``,
+    ``dict`` (any mapping), ``[t]`` (a list of ``t``), a variant table
+    ``{kind: (constructor, fields)}`` (a mapping whose ``"kind"`` picks
+    the field table of the rest), or a tuple of these and ``None`` (null).
+    A number is finite (Infinity and NaN are not numbers), a bool is not
+    a number, a non-integral number is not an int, and only true and
+    false are bools.  Anything else raises ``ValueError``, before
+    anything sized by the value is allocated.
+    """
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    number = not isinstance(value, bool) and (
+        isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+    )
+    for k in kinds:
+        if value is None and k is None or k in (bool, str, dict) and isinstance(value, k):
+            return value
+        if (k is int or k is float) and number:
+            if k is int and isinstance(value, float) and not value.is_integer():
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if cap is not None and value > cap:
+                raise ValueError(f"{name} must be at most {cap}, got {value!r}")
+            try:
+                return k(value)
+            except OverflowError:  # an int beyond the float range
+                raise ValueError(f"{name} is out of range, got {value!r}") from None
+        if isinstance(k, list) and isinstance(value, list):
+            return [_coerce(v, k[0], f"{name} entry") for v in value]
+        if isinstance(k, dict) and isinstance(value, dict):
+            variant = value.get("kind")
+            if not isinstance(variant, str) or variant not in k:
+                raise ValueError(f"{name} kind must be one of {list(k)}, got {variant!r}")
+            rest = {key: v for key, v in value.items() if key != "kind"}
+            return {"kind": variant, **_parse(rest, k[variant][1], f"{name} {variant!r}")}
+    expected = " or ".join(
+        "a list" if isinstance(k, list) else "a mapping with a 'kind'"
+        if isinstance(k, dict) else _EXPECTED[k] for k in kinds
+    )
+    raise ValueError(f"{name} must be {expected}, got {value!r}")
+
+
+_CORPUS_FIELDS = {
+    "corpus": (str, REQUIRED),
+    "dim": (int, OPTIONAL, MAX_DIM),
+    "seed": (int, OPTIONAL),
+    "radius": (float, OPTIONAL),
+}
+_LINEAR_FIELDS = {
+    "matrix": ([[float]], REQUIRED),
+    "data": ([float], REQUIRED),
+    "known_solution": (([float], None), None),
+    "m1_bound": ((float, None), None),
+    "name": (str, "external-linear"),
+}
+
+
 def problem_from_dict(spec: dict) -> ProblemInstance:
     """Build a problem from a configuration mapping.
 
@@ -212,33 +295,18 @@ def problem_from_dict(spec: dict) -> ProblemInstance:
     positive semidefinite); that is checked exactly here rather than
     sampled later.
     """
-    if not isinstance(spec, dict):
-        raise ValueError("problem specification must be a mapping")
-    if "corpus" in spec:
-        kwargs = {k: v for k, v in spec.items() if k != "corpus"}
-        allowed = {"dim", "seed", "radius"}
-        unknown = set(kwargs) - allowed
-        if unknown:
-            raise ValueError(f"unknown corpus options {sorted(unknown)}")
-        if "dim" in kwargs:
-            kwargs["dim"] = int(kwargs["dim"])
-        if "seed" in kwargs:
-            kwargs["seed"] = int(kwargs["seed"])
-        if "radius" in kwargs:
-            kwargs["radius"] = float(kwargs["radius"])
-        name = spec["corpus"]
+    if isinstance(spec, dict) and "corpus" in spec:
+        kwargs = _parse(spec, _CORPUS_FIELDS, "corpus")
+        name = kwargs.pop("corpus")
         if name == "hilbert-psd" and "seed" in kwargs:
             raise ValueError("hilbert-psd is deterministic and takes no seed")
         if name != "cubic-monotone" and "radius" in kwargs:
             raise ValueError("radius only applies to cubic-monotone")
         return make_problem(name, **kwargs)
-    if "linear" in spec:
-        body = spec["linear"]
-        if not isinstance(body, dict) or "matrix" not in body or "data" not in body:
-            raise ValueError("linear problem needs 'matrix' and 'data'")
-        m = np.asarray(body["matrix"], dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
+    if isinstance(spec, dict) and "linear" in spec:
+        body = _parse(spec, {"linear": (dict, REQUIRED)}, "problem")["linear"]
+        body = _parse(body, _LINEAR_FIELDS, "linear problem")
+        m = as_matrix(body["matrix"])
         dim = m.shape[0]
         f = as_vector(body["data"], dim, "data")
         sym_min = float(np.linalg.eigvalsh(0.5 * (m + m.T)).min())
@@ -246,18 +314,18 @@ def problem_from_dict(spec: dict) -> ProblemInstance:
             raise ValueError(
                 f"matrix is not monotone (symmetric part has eigenvalue {sym_min:.3e})"
             )
-        known = body.get("known_solution")
+        known = body["known_solution"]
         return ProblemInstance(
             dim=dim,
             operator=lambda u: m @ u,
             data=f,
             jacobian=lambda u: m,
             known_solution=None if known is None else as_vector(known, dim, "known_solution"),
-            m1_bound=None if body.get("m1_bound") is None else float(body["m1_bound"]),
+            m1_bound=body["m1_bound"],
             m2_bound=0.0,
             is_linear=True,
             is_strictly_monotone=False,
-            name=str(body.get("name", "external-linear")),
+            name=body["name"],
         )
     raise ValueError("problem specification needs a 'corpus' or 'linear' entry")
 

@@ -179,10 +179,6 @@ class IterationHistory:
     converged: bool
 
     @property
-    def final(self) -> np.ndarray:
-        return self.steps[-1].u
-
-    @property
     def gaps(self) -> Optional[np.ndarray]:
         if self.steps[0].gap is None:
             return None

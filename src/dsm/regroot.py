@@ -141,17 +141,16 @@ class RegPathResult:
 def regularization_path(
     problem: ProblemInstance,
     epsilons: Sequence[float],
-    warm_start: bool = True,
     newton_tol: float | None = None,
     max_iters: int = 80,
 ) -> RegPathResult:
     """Solve the regularized equation along a strictly decreasing eps grid.
 
-    With ``warm_start`` (the default) each root seeds the next Newton run;
-    the first runs from the zero vector, which biases the solve toward the
-    minimal-norm branch.  Errors to the known solution are recorded when
-    the problem carries one.  Unconverged entries are kept and flagged on
-    their :class:`RegRoot` rather than discarded.
+    Each root seeds the next Newton run; the first runs from the zero
+    vector, which biases the solve toward the minimal-norm branch.  Errors
+    to the known solution are recorded when the problem carries one.
+    Unconverged entries are kept and flagged on their :class:`RegRoot`
+    rather than discarded.
     """
     eps_list = [float(e) for e in epsilons]
     if len(eps_list) == 0:
@@ -165,9 +164,8 @@ def regularization_path(
     entries: list[RegPathEntry] = []
     prev_v: np.ndarray | None = None
     for eps in eps_list:
-        init = prev_v if (warm_start and prev_v is not None) else None
         root = solve_regularized(
-            problem, eps, init=init, newton_tol=newton_tol, max_iters=max_iters
+            problem, eps, init=prev_v, newton_tol=newton_tol, max_iters=max_iters
         )
         entries.append(
             RegPathEntry(

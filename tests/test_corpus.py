@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dsm import (
+    MAX_DIM,
     add_noise,
     apply_operator,
     check_monotonicity,
@@ -173,6 +174,28 @@ class TestProblemFromDict:
     def test_non_monotone_matrix_rejected(self):
         with pytest.raises(ValueError, match="not monotone"):
             problem_from_dict({"linear": {"matrix": [[-1.0, 0.0], [0.0, 1.0]], "data": [0.0, 0.0]}})
+
+    def test_options_are_coerced_without_loss(self):
+        for bad, shown in [
+            ({"dim": 2.5}, "2.5"),
+            ({"dim": True}, "True"),
+            ({"seed": "1"}, "'1'"),
+            ({"dim": MAX_DIM + 1}, str(MAX_DIM + 1)),
+            ({"radius": float("inf")}, "inf"),
+            ({"dim": None}, "None"),
+        ]:
+            with pytest.raises(ValueError, match=shown):
+                problem_from_dict({"corpus": "cubic-monotone", **bad})
+        assert problem_from_dict({"corpus": "cubic-monotone", "dim": 6.0}).dim == 6
+        with pytest.raises(ValueError, match="string"):
+            problem_from_dict({"corpus": ["cubic-monotone"]})
+
+    def test_linear_entries_must_be_numbers(self):
+        for matrix in ([[1.0, None], [0.0, 1.0]], [[True]], [[{"a": 1}]], [1.0]):
+            with pytest.raises(ValueError):
+                problem_from_dict({"linear": {"matrix": matrix, "data": [1.0]}})
+        with pytest.raises(ValueError, match="unknown"):
+            problem_from_dict({"linear": {"matrix": [[1.0]], "data": [1.0]}, "extra": 1})
 
     def test_malformed_specs_rejected(self):
         with pytest.raises(ValueError):

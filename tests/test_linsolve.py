@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsm import MAX_DIM, reg_solve
+from dsm import MAX_DIM, NumericalFailure, reg_solve
 
 
 class TestRegSolveValues:
@@ -26,13 +26,27 @@ class TestRegSolveValues:
 
 class TestRegSolveContracts:
     def test_residual_contract_on_ill_conditioned_system(self):
-        # Hilbert matrix: poor conditioning exercises the refinement passes
+        # Hilbert matrix: poor conditioning stresses the residual contract
         n = 12
         i, j = np.indices((n, n))
         a = 1.0 / (i + j + 1.0)
         b = np.ones(n)
         rep = reg_solve(a, 1e-10, b)
         assert rep.residual_norm <= 1e-10 * (1 + np.linalg.norm(b))
+
+    def test_exactly_singular_shift_raises_numerical_failure(self):
+        # A = -eps I makes the shifted matrix zero, so LU finds no pivot
+        with pytest.raises(NumericalFailure, match="singular"):
+            reg_solve(-0.5 * np.eye(3), 0.5, np.ones(3))
+
+    def test_residual_contract_failure_raises_numerical_failure(self):
+        # a symmetric part that is not PSD leaves A + eps I with condition
+        # number near 1e16, so the LU residual misses the contract
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((2, 2)))
+        eps = 1e-3
+        a = q @ np.diag([1.0, -eps + 1e-16]) @ q.T
+        with pytest.raises(NumericalFailure, match="residual"):
+            reg_solve(a, eps, np.ones(2))
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):
