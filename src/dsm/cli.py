@@ -50,15 +50,13 @@ CHECK_INDUCTION_CHAIN = "induction-chain"
 _TINY = 1e-300
 
 
-def _check(check_id: str, observed: float, bound: float, passed=None) -> dict:
-    if passed is None:
-        passed = observed <= bound
+def _check(check_id: str, observed: float, bound: float) -> dict:
     return {
         "check": check_id,
         "observed": float(observed),
         "bound": float(bound),
         "margin": float(bound) - float(observed),
-        "pass": bool(passed),
+        "pass": bool(observed <= bound),
     }
 
 
@@ -86,9 +84,8 @@ def _flow_tables(traj, root_v, slack):
         dev = abs(g / model - 1.0) if model > 0.0 else (0.0 if g == 0.0 else math.inf)
         gap = norm(u - root_v)
         gap_bound = slack * (model / traj.epsilon)
-        ratio = gap * traj.epsilon / max(g0 * math.exp(-t), _TINY)
         max_dev = max(max_dev, dev)
-        max_gap_ratio = max(max_gap_ratio, ratio)
+        max_gap_ratio = max(max_gap_ratio, gap * traj.epsilon / max(model, _TINY))
         rows.append([float(t), float(g), model, gap, gap_bound])
     return rows, max_dev, max_gap_ratio
 
@@ -111,15 +108,14 @@ def _run_flow(cfg: dict, out_dir: Path):
     slack = cfg["slack"]
     rows, max_dev, max_gap_ratio = _flow_tables(traj, root.v, slack)
     g0 = float(traj.residuals[0])
+    final_gap = norm(traj.states[-1] - root.v)
 
     checks = [
         _check(CHECK_RESIDUAL_DECAY, max_dev, cfg["decay_tol"]),
         _check(CHECK_FLOW_LIMIT_GAP, max_gap_ratio, slack),
     ]
     if at_stopping:
-        final_gap = norm(traj.states[-1] - root.v)
-        ratio = final_gap / max(g0 * eps, _TINY)
-        checks.append(_check(CHECK_STOPPING_GAP, ratio, slack))
+        checks.append(_check(CHECK_STOPPING_GAP, final_gap / max(g0 * eps, _TINY), slack))
 
     _write_trajectory(out_dir / "trajectory.csv", traj)
     run = {
@@ -129,7 +125,7 @@ def _run_flow(cfg: dict, out_dir: Path):
             "t_end": t_end,
             "g0": g0,
             "final_residual": float(traj.residuals[-1]),
-            "final_root_gap": norm(traj.states[-1] - root.v),
+            "final_root_gap": final_gap,
             "accepted_steps": traj.accepted,
             "rejected_steps": traj.rejected,
             "rhs_evals": traj.rhs_evals,
@@ -164,18 +160,7 @@ def _run_iterate(cfg: dict, out_dir: Path):
     checks = []
     if tracked and len(history.steps) >= 2:
         report = iterate.verify_step_recursion(problem, history, slack=cfg["slack"])
-        # worst relative excess of either inequality: the contraction
-        # g_{n+1} <= bound and the schedule eps_n >= 2 c g_n
-        excess = 0.0
-        for rec in report.records:
-            excess = max(
-                excess,
-                (rec.gap_next - rec.bound) / max(rec.bound, _TINY),
-                (rec.curvature_threshold - rec.epsilon) / max(rec.epsilon, _TINY),
-            )
-        checks.append(
-            _check(CHECK_RECURSION_STEP, excess, cfg["slack"], passed=report.passed)
-        )
+        checks.append(_check(CHECK_RECURSION_STEP, report.observed, report.bound))
     rows = [
         [s.index, s.epsilon, s.h, s.residual, s.gap, s.root_gap] for s in history.steps
     ]
@@ -337,17 +322,14 @@ def _run_noise_study(cfg: dict, out_dir: Path):
                     "artifacts": [traj_name, "noise.csv"],
                 }
             )
-        worst_increase = 0.0
-        for prev, nxt in zip(errors, errors[1:]):
-            worst_increase = max(worst_increase, nxt / max(prev, _TINY))
         sweep_checks = [
             _check(CHECK_NOISE_GAP, max_root_ratio, slack),
             _check(CHECK_NOISY_STOPPING_GAP, max_stop_ratio, slack),
         ]
         if len(errors) >= 2:
-            sweep_checks.append(
-                _check(CHECK_NOISE_CONVERGENCE, worst_increase, 1.0, passed=worst_increase < 1.0)
-            )
+            # errors must strictly decrease: the bound is the largest double below 1
+            worst = max(nxt / max(prev, _TINY) for prev, nxt in zip(errors, errors[1:]))
+            sweep_checks.append(_check(CHECK_NOISE_CONVERGENCE, worst, math.nextafter(1.0, 0.0)))
         runs.append(
             {
                 "label": "noise-sweep",
@@ -384,14 +366,9 @@ def _run_lemma_sim(cfg: dict, out_dir: Path):
         raise ValueError("horizon must be at least 2")
     a = _sequence(cfg["a"], horizon, "a")
     b = _sequence(cfg["b"], horizon, "b")
-    slack = cfg["slack"]
-    chain = recursion.check_bound_chain(cfg["g1"], a, b, slack=slack)
+    chain = recursion.check_bound_chain(cfg["g1"], a, b, slack=cfg["slack"])
     diag = recursion.horizon_diagnostics(a, b, horizon)
-
-    excess = 0.0
-    for sim, unr, maj in zip(chain.simulated, chain.unrolled, chain.majorant):
-        excess = max(excess, (sim - unr) / max(unr, _TINY), (unr - maj) / max(maj, _TINY))
-    checks = [_check(CHECK_INDUCTION_CHAIN, excess, slack, passed=chain.passed)]
+    checks = [_check(CHECK_INDUCTION_CHAIN, chain.observed, chain.bound)]
 
     rows = []
     for m in range(horizon + 1):

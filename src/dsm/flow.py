@@ -164,8 +164,8 @@ def integrate_flow(
         raise ValueError("t_end must be a positive finite real")
     if checkpoints < 1:
         raise ValueError("checkpoints must be at least 1")
-    if not (rtol > 0 and atol > 0):
-        raise ValueError("rtol and atol must be positive")
+    if not (0 < rtol < math.inf and 0 < atol < math.inf):
+        raise ValueError("rtol and atol must be positive finite reals")
     rhs = flow_field(problem, epsilon, f_override=f_override)
     y = (
         np.zeros(problem.dim)

@@ -7,7 +7,7 @@ the regularized root, the gap sequence ``g_n = |u_n - V_n|`` obeys the
 contraction ``g_{n+1} <= (1 - 0.5 h_n) g_n + |V_{n+1} - V_n|``, which
 :func:`verify_step_recursion` checks step by step against recorded roots.
 
-Three schedules are provided.  The matched schedule ``eps_n = 2 c g_n``
+Three schedules are provided.  The oracle schedule ``eps_n = 2 c g_n``
 is implicit (g_n depends on eps_n through the root) and needs several
 root solves per step, so it is meant for verification at corpus scale; the
 geometric schedule ``eps_n = max(eps_min, eps0 * q^n)`` is the practical
@@ -47,6 +47,7 @@ __all__ = [
 
 _MAX_FP_EVALS = 100
 _FP_RTOL = 1e-10
+_TINY = 1e-300  # floor of a denominator that may be zero
 
 
 def _check_h(h: float) -> float:
@@ -109,14 +110,13 @@ class Schedule:
     """Rule for choosing eps_n at each step.
 
     ``constant`` holds one value.  ``geometric`` decays from eps0 by the
-    ratio q each step, clamped from below by ``floor``.  ``oracle`` (the
-    matched schedule) solves ``eps = max(2 c g(eps), floor)`` with
-    ``g(eps) = |u_n - V_eps|`` and c half the problem's curvature bound,
-    by a bracketed secant that returns its feasible end, so
-    ``eps_n >= 2 c g_n`` holds exactly, at about 7 root solves per step.
-    When that bound is zero (linear problems) the matched value
-    degenerates to zero, so the floor must be positive and becomes the
-    schedule.
+    ratio q each step, clamped from below by ``floor``.  ``oracle`` solves
+    ``eps = max(2 c g(eps), floor)`` with ``g(eps) = |u_n - V_eps|`` and
+    c half the problem's curvature bound, by a bracketed secant that
+    returns its feasible end, so ``eps_n >= 2 c g_n`` holds exactly, at
+    about 7 root solves per step.  When that bound is zero (linear
+    problems) the oracle value degenerates to zero, so the floor must be
+    positive and becomes the schedule.
     """
 
     kind: str
@@ -149,7 +149,7 @@ class Schedule:
 
     @classmethod
     def oracle(cls, floor: float = 0.0) -> "Schedule":
-        """The matched schedule eps_n = 2 c g_n; needs a root solve per step."""
+        """The oracle schedule eps_n = 2 c g_n; needs root solves per step."""
         return cls(kind="oracle", floor=float(floor))
 
 
@@ -208,11 +208,11 @@ def iterate_step(
 
 def _curvature_constant(problem: ProblemInstance) -> float:
     if problem.m2_bound is None:
-        raise ValueError("matched schedule needs the problem's curvature bound")
+        raise ValueError("oracle schedule needs the problem's curvature bound")
     return 0.5 * problem.m2_bound
 
 
-def _matched_epsilon(
+def _oracle_epsilon(
     problem: ProblemInstance,
     u: np.ndarray,
     c: float,
@@ -240,7 +240,7 @@ def _matched_epsilon(
     if c == 0.0:
         if floor <= 0.0:
             raise ValueError(
-                "matched schedule on a flat (zero-curvature) problem needs a "
+                "oracle schedule on a flat (zero-curvature) problem needs a "
                 "positive floor"
             )
         return solve_regularized(problem, floor, init=warm_root)
@@ -280,7 +280,7 @@ def _matched_epsilon(
         init = (lo if abs(eps - lo[0]) < abs(eps - hi[0]) else hi)[2].v
     ends = [None if end is None else end[0] for end in (lo, hi)]
     raise NumericalFailure(
-        f"iterate: matched regularization not found at step n={n} within "
+        f"iterate: oracle regularization not found at step n={n} within "
         f"{_MAX_FP_EVALS} root solves: bracket [lo, hi] = {ends}, "
         f"last eps={root.epsilon:.6e} with phi={phi:.3e}"
     )
@@ -300,7 +300,7 @@ def run_iteration(
 
     The history records one row per visited iterate, schedule included,
     so gap sequences line up with the step bounds.  Roots are tracked
-    automatically under the matched schedule and on request otherwise.
+    automatically under the oracle schedule and on request otherwise.
     The default stopping residual is ``1e-10 * (1 + |f|)``.
     """
     if max_n < 1:
@@ -323,7 +323,7 @@ def run_iteration(
     for n in range(max_n + 1):
         root: Optional[RegRoot] = None
         if schedule.kind == "oracle":
-            root = _matched_epsilon(problem, u, c, schedule.floor, prev_eps, prev_root, n)
+            root = _oracle_epsilon(problem, u, c, schedule.floor, prev_eps, prev_root, n)
             eps_n = root.epsilon
         else:
             if schedule.kind == "constant":
@@ -367,20 +367,25 @@ def run_iteration(
 
 @dataclass(frozen=True)
 class StepBoundRecord:
-    """One step's contraction inequality, evaluated from recorded roots."""
+    """One step's contraction inequality and its excess, from recorded roots."""
 
     index: int
     gap_next: float
     bound: float
     epsilon: float
     curvature_threshold: float
-    passed: bool
+    excess: float
 
 
 @dataclass(frozen=True)
 class RecursionReport:
     records: list[StepBoundRecord]
-    passed: bool
+    observed: float
+    bound: float
+
+    @property
+    def passed(self) -> bool:
+        return self.observed <= self.bound
 
 
 def verify_step_recursion(
@@ -395,22 +400,25 @@ def verify_step_recursion(
     relative ``slack`` (plus a tiny absolute cushion for gaps at
     roundoff), and when the problem carries a positive curvature bound
     the schedule must satisfy ``eps_n >= 2 c g_n`` up to the same slack.
+    ``observed`` is the worst step's excess ``max((g_{n+1} - 1e-13 (1 +
+    g_n) - bound_n) / bound_n, (2 c g_n - eps_n) / (2 c g_n))``, floored
+    at 0, and the run passes when it is at most ``bound``, the slack.
     """
     if len(history.steps) < 2:
         raise ValueError("recursion check needs at least one completed step")
     if history.steps[0].gap is None or history.steps[0].root_gap is None:
         raise ValueError("recursion check needs a run with recorded roots")
-    c = 0.5 * problem.m2_bound if problem.m2_bound is not None else 0.0
+    if not (0.0 <= slack < math.inf):
+        raise ValueError("slack must be a finite non-negative real")
+    c = 0.5 * float(problem.m2_bound) if problem.m2_bound is not None else 0.0
     records: list[StepBoundRecord] = []
-    all_ok = True
     for cur, nxt in zip(history.steps, history.steps[1:]):
-        a_n = 0.5 * cur.h
-        bound = (1.0 - a_n) * cur.gap + cur.root_gap
+        bound = (1.0 - 0.5 * cur.h) * cur.gap + cur.root_gap
         threshold = 2.0 * c * cur.gap
-        ok_bound = nxt.gap <= bound * (1.0 + slack) + 1e-13 * (1.0 + cur.gap)
-        ok_sched = cur.epsilon >= threshold * (1.0 - slack)
-        ok = ok_bound and ok_sched
-        all_ok = all_ok and ok
+        excess = max(
+            (nxt.gap - 1e-13 * (1.0 + cur.gap) - bound) / max(bound, _TINY),
+            (threshold - cur.epsilon) / max(threshold, _TINY),
+        )
         records.append(
             StepBoundRecord(
                 index=cur.index,
@@ -418,7 +426,8 @@ def verify_step_recursion(
                 bound=bound,
                 epsilon=cur.epsilon,
                 curvature_threshold=threshold,
-                passed=ok,
+                excess=excess,
             )
         )
-    return RecursionReport(records=records, passed=all_ok)
+    observed = max(0.0, *(rec.excess for rec in records))
+    return RecursionReport(records=records, observed=observed, bound=slack)

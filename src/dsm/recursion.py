@@ -33,6 +33,8 @@ __all__ = [
     "horizon_diagnostics",
 ]
 
+_TINY = 1e-300  # floor of a denominator that may be zero
+
 
 def _validate(g1, a, b):
     a = np.asarray(a, dtype=float)
@@ -100,6 +102,7 @@ def geometric_weighted_sum(g1, b, ratio) -> np.ndarray:
 
     ``ratio`` is the per-step contraction 1 - a, so admissible values lie
     in [0.5, 1).  Entry m is ``sum_k b_k ratio^(m-k) + g1 ratio^m``.
+    Kept public: acceptance criterion 8 checks it against the direct sum.
     """
     ratio = float(ratio)
     if not (0.5 <= ratio < 1.0):
@@ -125,7 +128,12 @@ class ChainReport:
     simulated: np.ndarray
     unrolled: np.ndarray
     majorant: np.ndarray
-    passed: bool
+    observed: float
+    bound: float
+
+    @property
+    def passed(self) -> bool:
+        return self.observed <= self.bound
 
 
 def check_bound_chain(g1, a, b, slack: float = 1e-12) -> ChainReport:
@@ -133,14 +141,19 @@ def check_bound_chain(g1, a, b, slack: float = 1e-12) -> ChainReport:
 
     The first comparison is an identity in exact arithmetic, so the slack
     only absorbs rounding; the second is a strict mathematical dominance.
+    ``observed`` is the worst ``(sim - unr) / unr`` or ``(unr - maj) / maj``,
+    floored at 0; the chain passes when it is at most ``bound``, the slack.
     """
+    if not (0.0 <= slack < math.inf):
+        raise ValueError("slack must be a finite non-negative real")
     sim = simulate_recursion(g1, a, b)
     unr = unrolled_bound(g1, a, b)
     maj = exponential_majorant(g1, a, b)
-    ok = bool(
-        np.all(sim <= unr * (1.0 + slack)) and np.all(unr <= maj * (1.0 + slack))
+    excess = np.maximum(
+        (sim - unr) / np.maximum(unr, _TINY), (unr - maj) / np.maximum(maj, _TINY)
     )
-    return ChainReport(simulated=sim, unrolled=unr, majorant=maj, passed=ok)
+    observed = max(0.0, float(excess.max()))
+    return ChainReport(simulated=sim, unrolled=unr, majorant=maj, observed=observed, bound=slack)
 
 
 @dataclass(frozen=True)

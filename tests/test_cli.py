@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -38,6 +39,10 @@ class TestRunExperiment:
             assert report["checks_pass"], name
             for artifact in report["artifacts"]:
                 assert (out / artifact).exists(), f"{name}: missing {artifact}"
+            # one verdict per row: it passes iff observed is within its bound
+            for row in (c for run in report["runs"] for c in run["checks"]):
+                assert row["pass"] == (row["observed"] <= row["bound"]), row
+                assert row["margin"] == row["bound"] - row["observed"], row
 
     def test_report_is_byte_reproducible(self, tmp_path):
         cfg = load_config("flow.json")
@@ -137,6 +142,9 @@ class TestRunExperiment:
             c["check"]: c for run in report["runs"] for c in run["checks"]
         }
         assert by_name["noise-convergence"]["pass"]
+        # errors must strictly decrease, so the bound is the largest double below 1
+        assert by_name["noise-convergence"]["bound"] == math.nextafter(1.0, 0.0)
+        assert by_name["noise-convergence"]["bound"] < 1.0
         assert by_name["noisy-stopping-gap"]["observed"] <= 1.05
 
 

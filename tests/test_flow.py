@@ -135,6 +135,14 @@ class TestIntegrateFlow:
         with pytest.raises(ValueError):
             integrate_flow(cubic, 0.0, 1.0)
 
+    # an infinite rtol used to overflow inside the first-step estimate and
+    # an infinite atol accepted every step; both are now rejected up front
+    @pytest.mark.parametrize("tol", ["rtol", "atol"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_tolerance_rejected(self, cubic, tol, value):
+        with pytest.raises(ValueError, match="rtol and atol"):
+            integrate_flow(cubic, 1e-2, 1.0, **{tol: value})
+
     def test_impossible_tolerance_fails_numerically(self, cubic):
         with pytest.raises(NumericalFailure):
             integrate_flow(cubic, 1e-2, 1.0, rtol=1e-300, atol=1e-320)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import dsm.iterate
 from dsm import (
@@ -210,7 +212,7 @@ class TestStepRecursionCertificate:
             )
             report = verify_step_recursion(p, hist)
             assert report.passed
-            assert all(rec.passed for rec in report.records)
+            assert all(rec.excess <= report.bound for rec in report.records)
 
     def test_linear_constant_schedule_exact_contraction(self, hilbert_linear):
         hist = run_iteration(
@@ -266,6 +268,63 @@ class TestStepRecursionCertificate:
             lin = (jacobian(cubic, cur.u) + cur.epsilon * np.eye(cubic.dim)) @ z
             remainder = norm(lhs - lin)
             assert remainder <= 0.5 * cubic.m2_bound * cur.gap**2 * (1 + 1e-8)
+
+
+def two_inequality_verdict(problem, history, slack):
+    # the pass test verify_step_recursion made before it reported an excess
+    c = 0.5 * problem.m2_bound
+    for cur, nxt in zip(history.steps, history.steps[1:]):
+        bound = (1.0 - 0.5 * cur.h) * cur.gap + cur.root_gap
+        threshold = 2.0 * c * cur.gap
+        if not nxt.gap <= bound * (1.0 + slack) + 1e-13 * (1.0 + cur.gap):
+            return False
+        if not cur.epsilon >= threshold * (1.0 - slack):
+            return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def oracle_run(cubic):
+    return run_iteration(cubic, Schedule.oracle(), StepRule.constant_p(SQRT_E), 10)
+
+
+class TestVerdictIsObservedWithinBound:
+    # One gap is moved to `scale` slacks past the bound of one inequality:
+    # g_{n+1} against the contraction bound (with its 1e-13 (1 + g_n)
+    # cushion), or 2 c g_n against eps_n.  The two float forms can round to
+    # different verdicts only within a few ulps of the boundary, a band
+    # narrower than 1e-14 / slack slacks, so samples in it are left out.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        step=st.integers(0, 9),
+        slack=st.sampled_from([1e-8, 1e-10, 1e-12]),
+        scale=st.floats(-3.0, 3.0),
+        target=st.sampled_from(["contraction", "schedule"]),
+    )
+    @example(step=4, slack=1e-8, scale=1.0 - 1e-6, target="schedule")
+    @example(step=4, slack=1e-12, scale=1.5, target="contraction")
+    def test_same_verdict_as_two_inequalities(
+        self, cubic, oracle_run, step, slack, scale, target
+    ):
+        assume(abs(scale - 1.0) >= 1e-14 / slack)
+        steps = list(oracle_run.steps)
+        cur = steps[step]
+        if target == "contraction":
+            bound = (1.0 - 0.5 * cur.h) * cur.gap + cur.root_gap
+            gap = bound * (1.0 + scale * slack) + 1e-13 * (1.0 + cur.gap)
+            steps[step + 1] = dataclasses.replace(steps[step + 1], gap=gap)
+        else:
+            gap = cur.epsilon * (1.0 + scale * slack) / cubic.m2_bound
+            steps[step] = dataclasses.replace(cur, gap=gap)
+        history = dataclasses.replace(oracle_run, steps=steps)
+        report = verify_step_recursion(cubic, history, slack=slack)
+        assert report.passed == two_inequality_verdict(cubic, history, slack)
+        assert report.observed == max(0.0, *(rec.excess for rec in report.records))
+
+    @pytest.mark.parametrize("slack", [-1e-20, math.nan, math.inf])
+    def test_slack_must_be_finite_and_non_negative(self, cubic, oracle_run, slack):
+        with pytest.raises(ValueError, match="slack"):
+            verify_step_recursion(cubic, oracle_run, slack=slack)
 
 
 class TestMatchedSchedule:

@@ -166,6 +166,41 @@ class TestBoundChain:
         assert report.passed
         assert report.simulated.shape == (n + 1,)
 
+    # at zero slack a relative excess is <= 0 exactly when its difference
+    # is, so the verdict must equal the product form bit for bit
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_zero_slack_verdict_matches_product_form(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 80))
+        g1 = float(rng.uniform(0, 5))
+        a = rng.uniform(1e-6, 0.5, n)
+        b = rng.uniform(0, 1, n) * 10.0 ** rng.integers(-8, 1)
+        report = check_bound_chain(g1, a, b, slack=0.0)
+        sim, unr, maj = report.simulated, report.unrolled, report.majorant
+        assert report.passed == bool(np.all(sim <= unr) and np.all(unr <= maj))
+        assert report.passed == (report.observed <= report.bound)
+
+    def test_observed_is_worst_relative_excess(self):
+        a = np.full(40, 0.3)
+        b = 1.0 / np.arange(1, 41)
+        report = check_bound_chain(2.0, a, b, slack=1e-12)
+        sim, unr, maj = report.simulated, report.unrolled, report.majorant
+        excess = np.maximum((sim - unr) / unr, (unr - maj) / maj)
+        assert report.observed == max(0.0, float(excess.max()))
+        assert report.bound == 1e-12
+        assert report.passed
+
+    def test_all_zero_chain_observes_zero(self):
+        report = check_bound_chain(0.0, np.full(5, 0.5), np.zeros(5), slack=0.0)
+        assert report.observed == 0.0
+        assert report.passed
+
+    @pytest.mark.parametrize("slack", [-1e-20, math.nan, math.inf])
+    def test_slack_must_be_finite_and_non_negative(self, slack):
+        with pytest.raises(ValueError, match="slack"):
+            check_bound_chain(1.0, np.full(3, 0.5), np.zeros(3), slack=slack)
+
     def test_rejects_inadmissible_weights(self):
         with pytest.raises(ValueError):
             check_bound_chain(1.0, np.array([0.7]), np.array([0.0]))
