@@ -256,10 +256,10 @@ def _run_noise_study(cfg: dict, out_dir: Path):
         columns = ["delta", "eps", "root_gap", "gap_bound"]
         max_ratio = 0.0
         cell = 0
+        clean = [regroot.solve_regularized(problem, eps) for eps in epsilons]
         for i, delta in enumerate(deltas):
             f_noisy = corpus.add_noise(problem.data, delta, seed + i)
-            for eps in epsilons:
-                v = regroot.solve_regularized(problem, eps)
+            for eps, v in zip(epsilons, clean):
                 w = regroot.solve_regularized(problem, eps, f_override=f_noisy, init=v.v)
                 gap = norm(w.v - v.v)
                 bound = slack * delta / eps
@@ -403,7 +403,7 @@ def _run_lemma_sim(cfg: dict, out_dir: Path):
 # Size caps, checked before anything sized by them is allocated.
 MAX_CHECKPOINTS = 1000  # integrate_flow holds (checkpoints + 1) x dim states
 MAX_STEPS = 10_000  # run_iteration keeps every iterate and root it visits
-MAX_HORIZON = 100_000  # lemma-sim's certificates take O(horizon^2) time
+MAX_HORIZON = 100_000  # lemma-sim writes horizon + 1 rows twice: 25 MB, 150 MB peak RSS
 MAX_T_END = 1000.0  # g(0) exp(-t) underflows past t = 745; RK steps grow with t_end
 
 # Field tables: key -> (type, default) or (type, default, cap), read by

@@ -179,9 +179,11 @@ def corpus_names() -> list[str]:
 
 
 def make_problem(name: str, **kwargs) -> ProblemInstance:
-    """Build a corpus problem by name; kwargs go to its factory."""
+    """Build a corpus problem by name; kwargs go to its factory, dim <= MAX_DIM."""
     if name not in _FACTORIES:
         raise ValueError(f"unknown corpus problem {name!r}; choose from {sorted(_FACTORIES)}")
+    if kwargs.get("dim", 0) > MAX_DIM:
+        raise ValueError(f"dimension {kwargs['dim']} exceeds supported maximum {MAX_DIM}")
     return _FACTORIES[name](**kwargs)
 
 

@@ -6,7 +6,7 @@ b_n >= 0 (the drift between consecutive regularized roots).  Three
 routes to the same ceiling live here:
 
 * the recursion itself, run at equality (the extremal trajectory),
-* the unrolled sum-of-products bound, evaluated term by term,
+* the unrolled sum-of-products bound, composed as a prefix scan,
 * the exponential majorant obtained from 1 - a <= exp(-a).
 
 The first two are equal in exact arithmetic and the third dominates
@@ -67,24 +67,21 @@ def unrolled_bound(g1, a, b) -> np.ndarray:
     """Sum-of-products form of the recursion ceiling.
 
     Entry m is ``sum_k b_k prod_{j>k} (1 - a_j) + g1 prod_j (1 - a_j)``
-    with products over steps up to m, accumulated backward so no
-    division by small products occurs.  ``cumprod`` and ``cumsum`` add
-    and multiply in sequence, so every entry is bit-identical to the
-    scalar walk over k = m..1; pairwise reductions (``sum``, ``@``) are
-    avoided because they would change the last bits.
+    with products over steps up to m: the maps ``x -> (1 - a_k) x + b_k``,
+    k < m, composed and applied to g1.  A doubling scan (Kogge & Stone 1973;
+    Blelloch 1990) gives every prefix in about log2(n) vector passes with no
+    division: pass s = 1, 2, 4, ... composes each prefix with the one s maps
+    before it, so products associate as that binary tree, not left to right.
     """
     g1, a, b = _validate(g1, a, b)
-    out = np.empty(a.size + 1)
-    out[0] = g1
-    q = 1.0 - a
-    for m in range(1, a.size + 1):
-        # walk k = m-1..0: prods[i] = q[m-1] * ... * q[k] and before[i],
-        # the weight of b[k], is the product over the steps after k
-        prods = np.cumprod(q[m - 1 :: -1])
-        before = np.concatenate(([1.0], prods[:-1]))
-        total = np.cumsum(b[m - 1 :: -1] * before)[-1]
-        out[m] = total + g1 * prods[-1]
-    return out
+    prod = 1.0 - a  # prod[k], acc[k]: the maps up to k, as x -> prod x + acc
+    acc = b.copy()
+    s = 1
+    while s < a.size:
+        acc[s:] = prod[s:] * acc[:-s] + acc[s:]
+        prod[s:] = prod[s:] * prod[:-s]
+        s *= 2
+    return np.concatenate(([g1], acc + g1 * prod))
 
 
 def exponential_majorant(g1, a, b) -> np.ndarray:

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dsm import NumericalFailure, corpus, emit_table, main, run_experiment
+from dsm import NumericalFailure, corpus, emit_table, main, regroot, run_experiment
+from dsm.problem import norm
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -135,6 +136,38 @@ class TestRunExperiment:
             builds.clear()
             run_experiment(load_config(f"{name}.json"), tmp_path / name)
             assert len(builds) == (0 if name == "lemma-sim" else 1), name
+
+    def test_noise_grid_solves_each_clean_root_once(self, tmp_path, monkeypatch):
+        cfg = {
+            "kind": "noise-study",
+            "problem": {"corpus": "psd-singular-linear"},
+            "deltas": [0.01, 0.001],
+            "epsilons": [1e-1, 1e-2, 1e-3],
+            "seed": 4,
+        }
+        solves = []
+        solve = regroot.solve_regularized
+
+        def counting(*args, **kwargs):
+            solves.append(kwargs.get("f_override") is None)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(regroot, "solve_regularized", counting)
+        report = run_experiment(cfg, tmp_path)
+        monkeypatch.undo()
+        assert (solves.count(True), solves.count(False)) == (3, 2 * 3)
+
+        # reference: a cold clean solve in every cell
+        problem = corpus.problem_from_dict(cfg["problem"])
+        rows = []
+        for i, delta in enumerate(cfg["deltas"]):
+            f_noisy = corpus.add_noise(problem.data, delta, cfg["seed"] + i)
+            for eps in cfg["epsilons"]:
+                v = solve(problem, eps)
+                w = solve(problem, eps, f_override=f_noisy, init=v.v)
+                rows.append([delta, eps, norm(w.v - v.v), report["config"]["slack"] * delta / eps])
+        reference = {"table": {"columns": report["table"]["columns"], "rows": rows}}
+        assert (tmp_path / "noise.csv").read_text() == emit_table(reference, "csv")
 
     def test_noise_stopping_errors_decrease(self, tmp_path):
         report = run_experiment(load_config("noise-study.json"), tmp_path)

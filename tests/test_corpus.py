@@ -1,3 +1,10 @@
+import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +22,8 @@ from dsm import (
     problem_from_dict,
     taylor_remainder_check,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestFactories:
@@ -45,6 +54,37 @@ class TestFactories:
             make_problem("hilbert-psd", dim=0)
         with pytest.raises(ValueError):
             make_problem("cubic-monotone", radius=0.0)
+
+    def test_dim_cap_checked_before_the_factory_allocates(self):
+        # in a child under a 1 GiB address space, so that a missing cap
+        # fails with MemoryError there instead of exhausting memory here
+        script = (
+            "import json\n"
+            "from dsm import corpus_names, make_problem\n"
+            "out = []\n"
+            "for name in corpus_names():\n"
+            "    try:\n"
+            "        make_problem(name, dim=10**7)\n"
+            "        out.append('returned')\n"
+            "    except Exception as exc:\n"
+            "        out.append(f'{type(exc).__name__}: {exc}')\n"
+            "print(json.dumps(out))\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        for name, outcome in zip(corpus_names(), json.loads(proc.stdout)):
+            assert outcome == (
+                f"ValueError: dimension 10000000 exceeds supported maximum {MAX_DIM}"
+            ), name
 
     def test_construction_is_deterministic(self, all_problems):
         for p in all_problems:

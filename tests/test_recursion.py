@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsm import (
@@ -47,8 +47,26 @@ class TestSimulateRecursion:
             simulate_recursion(1.0, np.full(3, 0.5), np.zeros(4))
 
 
-def scalar_unrolled_bound(g1, a, b):
-    """The unrolled bound as a scalar double loop: the reference for bits."""
+def scalar_scan(g1, a, b):
+    """The unrolled bound as a scalar doubling scan: the reference for bits.
+
+    Pass s composes the maps up to k with those up to k - s, walking k
+    downward so that entry k - s still holds the previous pass.
+    """
+    n = a.size
+    prod = [1.0 - float(x) for x in a]
+    acc = [float(x) for x in b]
+    s = 1
+    while s < n:
+        for k in range(n - 1, s - 1, -1):
+            acc[k] = prod[k] * acc[k - s] + acc[k]
+            prod[k] = prod[k] * prod[k - s]
+        s *= 2
+    return np.array([g1] + [acc[k] + g1 * prod[k] for k in range(n)])
+
+
+def backward_walk(g1, a, b):
+    """The unrolled bound summed term by term, from the newest step back."""
     out = np.empty(a.size + 1)
     out[0] = g1
     q = 1.0 - a
@@ -70,12 +88,33 @@ admissible_sequences = st.integers(1, 300).flatmap(
 )
 
 
+def _lengths(*ns):
+    """Pinned examples of the given lengths, powers of two and their neighbours."""
+    def pin(test):
+        for n in ns:
+            test = example(g1=0.75, ab=([0.3] * n, [0.5 / (k + 1) for k in range(n)]))(test)
+        return test
+    return pin
+
+
 class TestUnrolledBound:
     @settings(max_examples=100, deadline=None)
     @given(g1=st.floats(0.0, 1e3), ab=admissible_sequences)
+    @_lengths(1, 2, 3, 63, 64, 65, 255, 256, 257, 300)
     def test_bit_identical_to_scalar_loop(self, g1, ab):
         a, b = (np.array(x) for x in ab)
-        assert np.array_equal(unrolled_bound(g1, a, b), scalar_unrolled_bound(g1, a, b))
+        assert np.array_equal(unrolled_bound(g1, a, b), scalar_scan(g1, a, b))
+
+    # the walk's rounding grows with the length (up to about 2n ulps) and
+    # the scan's with its depth, so they differ by at most about 7e-14 at
+    # n = 300; atol covers a subnormal g1, whose products round absolutely
+    @settings(max_examples=100, deadline=None)
+    @given(g1=st.floats(0.0, 1e3), ab=admissible_sequences)
+    def test_close_to_backward_walk(self, g1, ab):
+        a, b = (np.array(x) for x in ab)
+        np.testing.assert_allclose(
+            unrolled_bound(g1, a, b), backward_walk(g1, a, b), rtol=1e-13, atol=1e-300
+        )
 
     def test_no_forcing_reduces_to_product(self):
         out = unrolled_bound(2.0, np.full(3, 0.5), np.zeros(3))
@@ -91,6 +130,13 @@ class TestUnrolledBound:
             sim = simulate_recursion(g1, a, b)
             unr = unrolled_bound(g1, a, b)
             np.testing.assert_allclose(sim, unr, rtol=5e-13, atol=1e-300)
+
+    def test_long_run_through_subnormal_products(self):
+        # 0.9^n goes subnormal near n = 6700 and reaches 0 near n = 7070
+        a = b = np.full(12_000, 0.1)
+        unr = unrolled_bound(5.0, a, b)
+        np.testing.assert_allclose(simulate_recursion(5.0, a, b), unr, rtol=5e-13, atol=1e-300)
+        assert check_bound_chain(5.0, a, b, slack=1e-12).passed
 
 
 class TestExponentialMajorant:
