@@ -43,6 +43,14 @@ __all__ = [
 ]
 
 
+def _check_dim(dim: int, least: int) -> None:
+    """Reject a dim outside [least, MAX_DIM] before anything is allocated."""
+    if dim < least:
+        raise ValueError(f"dim must be at least {least}")
+    if dim > MAX_DIM:
+        raise ValueError(f"dimension {dim} exceeds supported maximum {MAX_DIM}")
+
+
 def _orthogonal(dim: int, rng) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     # fix the sign convention so the factorization is unique
@@ -56,8 +64,7 @@ def make_psd_singular_linear(dim: int = 8, seed: int = 1) -> ProblemInstance:
     the range projection of the generating point, which is exactly the
     minimal-norm solution.
     """
-    if dim < 3:
-        raise ValueError("dim must be at least 3")
+    _check_dim(dim, 3)
     rng = np.random.default_rng(seed)
     q = _orthogonal(dim, rng)
     eigs = np.concatenate([[0.0, 0.0], np.linspace(0.1, 1.0, dim - 2)])
@@ -84,8 +91,7 @@ def make_psd_singular_linear(dim: int = 8, seed: int = 1) -> ProblemInstance:
 
 def make_hilbert_psd(dim: int = 12) -> ProblemInstance:
     """Hilbert matrix problem; positive definite but extremely ill-conditioned."""
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
+    _check_dim(dim, 1)
     i = np.arange(1, dim + 1)
     m = 1.0 / (i[:, None] + i[None, :] - 1.0)
     y_star = np.ones(dim)
@@ -115,8 +121,7 @@ def make_cubic_monotone(
     bound ``6 * (radius + |y*|)`` is valid on the origin-centered ball of
     that radius, which contains every iterate the suite produces.
     """
-    if dim < 3:
-        raise ValueError("dim must be at least 3")
+    _check_dim(dim, 3)
     if radius <= 0:
         raise ValueError("radius must be positive")
     rng = np.random.default_rng(seed)
@@ -145,8 +150,7 @@ def make_random_monotone(dim: int = 10, seed: int = 3) -> ProblemInstance:
     on the kernel of the matrix part.  Its second derivative never
     exceeds 0.77 in magnitude, giving a small global curvature bound.
     """
-    if dim < 3:
-        raise ValueError("dim must be at least 3")
+    _check_dim(dim, 3)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim - 2, dim)) / np.sqrt(dim)
     m = g.T @ g
@@ -182,8 +186,6 @@ def make_problem(name: str, **kwargs) -> ProblemInstance:
     """Build a corpus problem by name; kwargs go to its factory, dim <= MAX_DIM."""
     if name not in _FACTORIES:
         raise ValueError(f"unknown corpus problem {name!r}; choose from {sorted(_FACTORIES)}")
-    if kwargs.get("dim", 0) > MAX_DIM:
-        raise ValueError(f"dimension {kwargs['dim']} exceeds supported maximum {MAX_DIM}")
     return _FACTORIES[name](**kwargs)
 
 

@@ -58,19 +58,21 @@ def reg_solve(a, epsilon: float, b) -> RegSolveReport:
         raise ValueError(f"dimension {n} exceeds supported maximum {MAX_DIM}")
     b = as_vector(b, n, "b")
 
-    a_eps = a + epsilon * np.eye(n)
+    # a + epsilon * np.eye(n) to the bit: + 0.0 turns each -0.0 into +0.0 as the eye's zeros do
+    a_eps = np.add(a, 0.0, order="C")
+    a_eps.ravel()[:: n + 1] += epsilon
     tol = 1e-10 * (1.0 + norm(b))
     try:
         x = np.linalg.solve(a_eps, b)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"shifted matrix is singular: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise NumericalFailure("linear solve produced non-finite values")
+        raise NumericalFailure(f"linsolve: shifted matrix is singular at dim {n}: {exc}") from exc
+    if not np.isfinite(x).all():
+        raise NumericalFailure(f"linsolve: solve at dim {n} produced non-finite values")
 
     res_norm = norm(b - a_eps @ x)
     if not res_norm <= tol:  # a NaN residual fails too
         raise NumericalFailure(
-            "regularized solve is singular to working precision "
+            f"linsolve: regularized solve at dim {n} is singular to working precision "
             f"(residual {res_norm:.3e} > tolerance {tol:.3e}); "
             "the shift may be too small for the conditioning"
         )

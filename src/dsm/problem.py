@@ -11,6 +11,7 @@ and control of the second-order Taylor remainder.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -44,8 +45,9 @@ def inner(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def norm(u: np.ndarray) -> float:
-    """Euclidean norm."""
-    return float(np.linalg.norm(u))
+    """Euclidean norm: ``np.linalg.norm``'s own ``ord=None`` sum, without its dispatch."""
+    x = np.asarray(u, dtype=float).ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
@@ -55,7 +57,7 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise ValueError(f"{name} has length {arr.shape[0]}, expected {dim}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -67,7 +69,7 @@ def as_matrix(m, dim: int | None = None, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise ValueError(f"{name} has size {arr.shape[0]}, expected {dim}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -134,7 +136,7 @@ def apply_operator(problem: ProblemInstance, u) -> np.ndarray:
         raise ValueError(
             f"operator returned shape {out.shape}, expected ({problem.dim},)"
         )
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericalFailure("operator returned non-finite values")
     return out
 

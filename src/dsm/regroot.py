@@ -104,8 +104,8 @@ def solve_regularized(
             lam *= 0.5
             if lam < MIN_DAMPING:
                 raise NumericalFailure(
-                    f"Newton line search stalled at eps={epsilon:.3e} "
-                    f"(residual {res_norm:.3e})"
+                    f"regroot: Newton line search stalled at eps={epsilon:.3e}, "
+                    f"iteration {iters}, residual {res_norm:.3e}"
                 )
         v, res, res_norm = trial, trial_res, trial_norm
         iters += 1

@@ -26,6 +26,36 @@ from dsm import (
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def huge_dim_outcomes(call: str) -> list[str]:
+    """Run ``call`` once per corpus name in a child under a 1 GiB address
+    space, so that a missing cap fails with MemoryError there instead of
+    exhausting memory here; return each outcome as text."""
+    script = (
+        "import json\n"
+        "from dsm import corpus, corpus_names, make_problem\n"
+        "out = []\n"
+        "for name in corpus_names():\n"
+        "    try:\n"
+        f"        {call}\n"
+        "        out.append('returned')\n"
+        "    except Exception as exc:\n"
+        "        out.append(f'{type(exc).__name__}: {exc}')\n"
+        "print(json.dumps(out))\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout)
+
+
 class TestFactories:
     def test_names_and_shapes(self):
         names = corpus_names()
@@ -56,32 +86,16 @@ class TestFactories:
             make_problem("cubic-monotone", radius=0.0)
 
     def test_dim_cap_checked_before_the_factory_allocates(self):
-        # in a child under a 1 GiB address space, so that a missing cap
-        # fails with MemoryError there instead of exhausting memory here
-        script = (
-            "import json\n"
-            "from dsm import corpus_names, make_problem\n"
-            "out = []\n"
-            "for name in corpus_names():\n"
-            "    try:\n"
-            "        make_problem(name, dim=10**7)\n"
-            "        out.append('returned')\n"
-            "    except Exception as exc:\n"
-            "        out.append(f'{type(exc).__name__}: {exc}')\n"
-            "print(json.dumps(out))\n"
-        )
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
-        )
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        for name, outcome in zip(corpus_names(), json.loads(proc.stdout)):
+        outcomes = huge_dim_outcomes("make_problem(name, dim=10**7)")
+        for name, outcome in zip(corpus_names(), outcomes):
+            assert outcome == (
+                f"ValueError: dimension 10000000 exceeds supported maximum {MAX_DIM}"
+            ), name
+
+    def test_each_factory_checks_the_dim_cap_itself(self):
+        # make_psd_singular_linear, make_hilbert_psd, ... called directly
+        outcomes = huge_dim_outcomes("getattr(corpus, 'make_' + name.replace('-', '_'))(dim=10**7)")
+        for name, outcome in zip(corpus_names(), outcomes):
             assert outcome == (
                 f"ValueError: dimension 10000000 exceeds supported maximum {MAX_DIM}"
             ), name

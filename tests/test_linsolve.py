@@ -1,9 +1,38 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dsm import MAX_DIM, NumericalFailure, reg_solve
+
+
+def shifted_matrix(a, eps):
+    """The matrix reg_solve hands to the LU, caught at numpy.linalg.solve."""
+    seen = []
+    solve = np.linalg.solve
+
+    def spy(m, b):
+        seen.append(np.array(m, copy=True))
+        return solve(m, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "solve", spy)
+        try:
+            reg_solve(a, eps, np.ones(a.shape[0]))
+        except NumericalFailure:
+            pass  # only the matrix matters here, not whether it solves
+    assert len(seen) == 1
+    return seen[0]
+
+
+square_matrices = st.integers(1, 6).flatmap(
+    lambda n: hnp.arrays(
+        np.float64,
+        (n, n),
+        elements=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3)),
+    )
+)
 
 
 class TestRegSolveValues:
@@ -23,6 +52,17 @@ class TestRegSolveValues:
         rep = reg_solve(np.eye(3), 0.25, np.ones(3))
         assert rep.epsilon == 0.25
 
+    @given(square_matrices, st.floats(1e-12, 1e6))
+    @example(np.array([[1.0, -0.0], [-0.0, -0.0]]), 0.5)
+    @example(np.asfortranarray([[2.0, -0.0, 1.0], [-0.0, 3.0, 0.0], [4.0, -0.0, -0.0]]), 1e-3)
+    def test_shifted_matrix_bit_identical_to_adding_an_identity(self, a, eps):
+        # the reference is the form reg_solve replaced; -0.0 off the
+        # diagonal must come out +0.0, as 0.0 * eps does in the identity
+        expected = a + eps * np.eye(a.shape[0])
+        got = shifted_matrix(a, eps)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
 
 class TestRegSolveContracts:
     def test_residual_contract_on_ill_conditioned_system(self):
@@ -39,6 +79,10 @@ class TestRegSolveContracts:
         with pytest.raises(NumericalFailure, match="singular"):
             reg_solve(-0.5 * np.eye(3), 0.5, np.ones(3))
 
+    def test_singular_failure_names_layer_and_dim(self):
+        with pytest.raises(NumericalFailure, match=r"^linsolve: shifted matrix is singular at dim 3"):
+            reg_solve(-0.5 * np.eye(3), 0.5, np.ones(3))
+
     def test_residual_contract_failure_raises_numerical_failure(self):
         # a symmetric part that is not PSD leaves A + eps I with condition
         # number near 1e16, so the LU residual misses the contract
@@ -47,6 +91,14 @@ class TestRegSolveContracts:
         a = q @ np.diag([1.0, -eps + 1e-16]) @ q.T
         with pytest.raises(NumericalFailure, match="residual"):
             reg_solve(a, eps, np.ones(2))
+
+    def test_contract_failure_names_layer_and_dim(self):
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((2, 2)))
+        a = q @ np.diag([1.0, -1e-3 + 1e-16]) @ q.T
+        with pytest.raises(
+            NumericalFailure, match=r"^linsolve: regularized solve at dim 2 is singular .*residual"
+        ):
+            reg_solve(a, 1e-3, np.ones(2))
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dsm import (
     NumericalFailure,
@@ -26,6 +27,12 @@ finite_vectors = st.integers(1, 8).flatmap(
         max_size=n,
     )
 )
+
+# 1-D and 2-D, empty included; magnitudes small enough that |x|^2 stays finite
+_shapes = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6)
+float_arrays = hnp.arrays(np.float64, _shapes, elements=st.floats(-1e150, 1e150))
+int_arrays = hnp.arrays(np.int64, _shapes, elements=st.integers(-(2**40), 2**40))
+bad_values = st.sampled_from([np.nan, np.inf, -np.inf])
 
 
 class TestVectorBasics:
@@ -74,6 +81,46 @@ class TestVectorBasics:
         rhs = inner(u, w) + inner(v, w)
         scale = 1.0 + abs(lhs) + abs(rhs)
         assert abs(lhs - rhs) <= 1e-12 * scale
+
+    @given(st.one_of(float_arrays, int_arrays))
+    @example(np.zeros(0))
+    @example(np.array([[-0.0, 3.0], [4.0, 1e-300]]))
+    @example(np.asfortranarray([[1.0, 2.0], [3.0, 1e-8]]))
+    @example(np.arange(7)[::-2])
+    def test_norm_bit_identical_to_numpy_norm(self, x):
+        # the reference is the form norm replaced
+        expected = float(np.linalg.norm(x))
+        got = norm(x)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    @given(
+        st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
+        bad_values,
+    )
+    def test_as_vector_rejects_a_non_finite_entry_anywhere(self, size_and_pos, bad):
+        n, pos = size_and_pos
+        x = np.ones(n)
+        x[pos] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            as_vector(x, n, "u")
+        with pytest.raises(ValueError, match="non-finite"):
+            as_vector(list(x))
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, n - 1), st.integers(0, n - 1))
+        ),
+        bad_values,
+    )
+    def test_as_matrix_rejects_a_non_finite_entry_anywhere(self, size_and_pos, bad):
+        n, i, j = size_and_pos
+        m = np.eye(n)
+        m[i, j] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            as_matrix(m, n, "a")
+        with pytest.raises(ValueError, match="non-finite"):
+            as_matrix(np.asfortranarray(m))
 
 
 class TestApplyOperator:

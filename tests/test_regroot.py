@@ -61,6 +61,22 @@ class TestSolveRegularized:
         root = solve_regularized(cubic, 1e-2, max_iters=1, newton_tol=1e-30)
         assert not root.converged
 
+    def test_stalled_line_search_names_layer_eps_and_iteration(self):
+        # the Jacobian is right once, then has the wrong sign, so the second
+        # Newton direction climbs and no damping factor gives a decrease
+        calls = []
+
+        def jac(u):
+            calls.append(None)
+            return np.diag(1.0 + 3.0 * u**2) * (1.0 if len(calls) == 1 else -0.5)
+
+        p = ProblemInstance(dim=1, operator=lambda u: u + u**3, data=[1.0], jacobian=jac)
+        with pytest.raises(
+            NumericalFailure,
+            match=r"^regroot: Newton line search stalled at eps=1\.000e-01, iteration 1, residual ",
+        ):
+            solve_regularized(p, 0.1)
+
     def test_override_data_changes_root(self, cubic):
         base = solve_regularized(cubic, 1e-1)
         other = solve_regularized(cubic, 1e-1, f_override=cubic.data + 0.1)
