@@ -30,6 +30,7 @@ import numpy as np
 
 from . import corpus, flow, iterate, recursion, regroot
 from .corpus import OPTIONAL, REQUIRED, _coerce
+from .flow import MAX_CHECKPOINTS
 from .problem import NumericalFailure, inner, norm
 
 __all__ = ["run_experiment", "emit_table", "main"]
@@ -401,9 +402,8 @@ def _run_lemma_sim(cfg: dict, out_dir: Path):
 
 
 # Size caps, checked before anything sized by them is allocated.
-MAX_CHECKPOINTS = 1000  # integrate_flow holds (checkpoints + 1) x dim states
 MAX_STEPS = 10_000  # run_iteration keeps every iterate and root it visits
-MAX_HORIZON = 100_000  # lemma-sim writes horizon + 1 rows twice: 25 MB, 150 MB peak RSS
+MAX_HORIZON = 100_000  # lemma-sim writes horizon + 1 CSV rows once: 10 MB, 100 MB peak RSS
 MAX_T_END = 1000.0  # g(0) exp(-t) underflows past t = 745; RK steps grow with t_end
 
 # Field tables: key -> (type, default) or (type, default, cap), read by
@@ -506,7 +506,10 @@ def run_experiment(config: dict, out_dir) -> dict:
 
     The report is also written to ``<out_dir>/report.json`` and is byte
     reproducible for a fixed config; wall-clock timings are written to
-    ``<out_dir>/timing.json`` so they never perturb the report.
+    ``<out_dir>/timing.json`` so they never perturb the report.  The
+    summary table is written once, as the kind's CSV artifact, and not
+    into ``report.json``; the returned report is the written one plus the
+    in-memory ``"table"``, which :func:`emit_table` renders.
     """
     cfg = _coerce(config, _EXPERIMENTS, "experiment")
     kind = cfg["kind"]
@@ -523,7 +526,6 @@ def run_experiment(config: dict, out_dir) -> dict:
         "kind": kind,
         "config": cfg,
         "runs": runs,
-        "table": table,
         "checks_pass": all(c["pass"] for run in runs for c in run["checks"]),
         "artifacts": artifacts,
     }
@@ -533,7 +535,7 @@ def run_experiment(config: dict, out_dir) -> dict:
     report = _jsonable(report)
 
     if csv_name is not None:
-        (out_dir / csv_name).write_text(emit_table(report, "csv"))
+        (out_dir / csv_name).write_text(emit_table({"table": table}, "csv"))
 
     (out_dir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -541,7 +543,7 @@ def run_experiment(config: dict, out_dir) -> dict:
     (out_dir / "timing.json").write_text(
         json.dumps({"total_seconds": elapsed}, indent=2, sort_keys=True) + "\n"
     )
-    return report
+    return {**report, "table": table}
 
 
 def _fmt(value, spec: str) -> str:

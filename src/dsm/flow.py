@@ -24,6 +24,7 @@ from .linsolve import reg_solve
 from .problem import (
     NumericalFailure,
     ProblemInstance,
+    _as_count,
     apply_operator,
     as_vector,
     jacobian,
@@ -62,6 +63,7 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ORDER_EXP = 1.0 / 5.0
+MAX_CHECKPOINTS = 1000  # integrate_flow holds (checkpoints + 1) x dim states
 
 
 def residual_value(
@@ -156,14 +158,14 @@ def integrate_flow(
     """Integrate the flow over [0, t_end], recording equispaced checkpoints.
 
     ``checkpoints`` counts the recording times after t = 0, so the result
-    holds ``checkpoints + 1`` rows.  Steps never straddle a checkpoint:
+    holds ``checkpoints + 1`` rows; it is an integer of at most
+    ``MAX_CHECKPOINTS``.  Steps never straddle a checkpoint:
     the proposed step is shortened to hit it exactly.  A step size driven
     below ``1e-14 * t_end`` raises :class:`NumericalFailure`.
     """
     if not (t_end > 0) or not np.isfinite(t_end):
         raise ValueError("t_end must be a positive finite real")
-    if checkpoints < 1:
-        raise ValueError("checkpoints must be at least 1")
+    checkpoints = _as_count(checkpoints, "checkpoints", cap=MAX_CHECKPOINTS)
     if not (0 < rtol < math.inf and 0 < atol < math.inf):
         raise ValueError("rtol and atol must be positive finite reals")
     rhs = flow_field(problem, epsilon, f_override=f_override)

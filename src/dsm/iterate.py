@@ -26,6 +26,7 @@ from .linsolve import reg_solve
 from .problem import (
     NumericalFailure,
     ProblemInstance,
+    _as_count,
     apply_operator,
     as_vector,
     jacobian,
@@ -306,8 +307,7 @@ def run_iteration(
     automatically under the oracle schedule and on request otherwise.
     The default stopping residual is ``1e-10 * (1 + |f|)``.
     """
-    if max_n < 1:
-        raise ValueError("max_n must be at least 1")
+    max_n = _as_count(max_n, "max_n")
     if steps.limit is not None and steps.limit < max_n:
         raise ValueError(
             f"explicit step rule supplies {steps.limit} steps but max_n={max_n}"

@@ -12,6 +12,7 @@ and control of the second-order Taylor remainder.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -48,6 +49,15 @@ def norm(u: np.ndarray) -> float:
     """Euclidean norm: ``np.linalg.norm``'s own ``ord=None`` sum, without its dispatch."""
     x = np.asarray(u, dtype=float).ravel(order="K")
     return math.sqrt(x.dot(x))
+
+
+def _as_count(value, name: str, cap: float = math.inf) -> int:
+    """A count in [1, cap] as an int: numpy integers and integral floats pass, bools do not."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or not 1 <= value <= cap:
+        raise ValueError(f"{name} must be an integer in [1, {cap}], got {value!r}")
+    return int(value)
 
 
 def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:

@@ -185,18 +185,14 @@ def regularization_path(
 def minimal_norm_solution(problem: ProblemInstance) -> np.ndarray:
     """Ground-truth minimal-norm solution of B(u) = f.
 
-    Linear problems get the SVD pseudoinverse solution (singular values
-    below ``1e-12 * sigma_max`` are treated as zero), which is orthogonal
-    to the kernel by construction.  Strictly monotone problems return the
-    stored solution, unique by strict monotonicity.  Anything else has no
-    oracle and raises ``ValueError``.
+    Linear problems get the least-squares pseudoinverse solution (LAPACK
+    ``gelsd``: singular values at most ``1e-12 * sigma_max`` count as zero,
+    no singular vectors are formed), orthogonal to the kernel.  Strictly
+    monotone problems return the stored solution, unique by strict
+    monotonicity.  Anything else has no oracle and raises ``ValueError``.
     """
     if problem.is_linear:
-        m = jacobian(problem, np.zeros(problem.dim))
-        u_mat, sing, vt = np.linalg.svd(m)
-        cutoff = 1e-12 * (sing[0] if sing.size else 0.0)
-        inv = np.divide(1.0, sing, out=np.zeros_like(sing), where=sing > cutoff)
-        y = vt.T @ (inv * (u_mat.T @ problem.data))
+        y = np.linalg.lstsq(jacobian(problem, np.zeros(problem.dim)), problem.data, rcond=1e-12)[0]
     elif problem.is_strictly_monotone and problem.known_solution is not None:
         y = problem.known_solution.copy()
     else:

@@ -1,3 +1,9 @@
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +14,41 @@ from dsm import (
     make_psd_singular_linear,
     make_random_monotone,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_capped(script: str) -> str:
+    """Run ``script`` in a child under a 1 GiB address space, with one BLAS
+    thread and a 60 s timeout, so that a missing size cap fails there with
+    MemoryError instead of exhausting memory here; return its stdout."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+def capped_outcome(imports: str, setup: str, call: str) -> str:
+    """The outcome of ``call`` in a capped child (see :func:`run_capped`):
+    ``"returned"`` or ``"<exception type>: <message>"``."""
+    script = (
+        f"from dsm import {imports}\n"
+        f"{setup}\n"
+        "try:\n"
+        f"    {call}\n"
+        "    print('returned')\n"
+        "except Exception as exc:\n"
+        "    print(f'{type(exc).__name__}: {exc}')\n"
+    )
+    return run_capped(script).strip()
 
 
 @pytest.fixture(scope="session")

@@ -304,6 +304,45 @@ class TestCliEntryPoint:
         assert "simulated" not in quiet
 
 
+class TestTableWrittenOnce:
+    # the summary table is the kind's CSV artifact; flow's table is printed only
+    TABLE_CSV = {
+        "flow": None,
+        "iterate": "history.csv",
+        "reg-path": "path.csv",
+        "noise-study": "noise.csv",
+        "lemma-sim": "sequences.csv",
+    }
+
+    @pytest.mark.parametrize("kind", list(TABLE_CSV))
+    def test_report_has_no_table_and_the_csv_is_its_only_copy(self, kind, tmp_path, capsys):
+        report = run_experiment(load_config(f"{kind}.json"), tmp_path / "lib")
+        written = json.loads((tmp_path / "lib" / "report.json").read_text())
+        assert "table" not in written
+        assert {k: v for k, v in report.items() if k != "table"} == written
+        csv_text = emit_table(report, "csv")
+        csv_name = self.TABLE_CSV[kind]
+        if csv_name is None:
+            assert sorted(p.name for p in (tmp_path / "lib").glob("*.csv")) == ["trajectory.csv"]
+        else:
+            assert (tmp_path / "lib" / csv_name).read_text() == csv_text
+
+        code = main([kind, "--config", str(CONFIGS / f"{kind}.json"),
+                     "--out", str(tmp_path / "cli"), "--table", "csv"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out[:len(csv_text)] == csv_text
+        assert out[len(csv_text):].startswith(f"{kind}: ")
+        if csv_name is not None:
+            assert (tmp_path / "cli" / csv_name).read_text() == csv_text
+
+    def test_lemma_sim_report_stays_small_at_horizon_3000(self, tmp_path):
+        # the path-certify workload's lemma-sim: 3001 table rows, none in report.json
+        run_experiment({**load_config("lemma-sim.json"), "horizon": 3000}, tmp_path)
+        assert (tmp_path / "report.json").stat().st_size < 8 * 1024
+        assert len((tmp_path / "sequences.csv").read_text().splitlines()) == 3002
+
+
 class TestEmitTable:
     REPORT = {
         "table": {

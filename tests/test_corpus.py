@@ -1,9 +1,4 @@
 import json
-import os
-import resource
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,13 +18,12 @@ from dsm import (
     taylor_remainder_check,
 )
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import run_capped
 
 
 def huge_dim_outcomes(call: str) -> list[str]:
-    """Run ``call`` once per corpus name in a child under a 1 GiB address
-    space, so that a missing cap fails with MemoryError there instead of
-    exhausting memory here; return each outcome as text."""
+    """Run ``call`` once per corpus name in a capped child (see
+    ``conftest.run_capped``); return each outcome as text."""
     script = (
         "import json\n"
         "from dsm import corpus, corpus_names, make_problem\n"
@@ -42,18 +36,7 @@ def huge_dim_outcomes(call: str) -> list[str]:
         "        out.append(f'{type(exc).__name__}: {exc}')\n"
         "print(json.dumps(out))\n"
     )
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    return json.loads(proc.stdout)
+    return json.loads(run_capped(script))
 
 
 class TestFactories:

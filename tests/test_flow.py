@@ -19,7 +19,9 @@ from dsm import (
     stopping_time,
 )
 
-from conftest import identity_problem
+from dsm.flow import MAX_CHECKPOINTS
+
+from conftest import capped_outcome, identity_problem
 
 
 class TestStoppingTime:
@@ -142,6 +144,27 @@ class TestIntegrateFlow:
     def test_non_finite_tolerance_rejected(self, cubic, tol, value):
         with pytest.raises(ValueError, match="rtol and atol"):
             integrate_flow(cubic, 1e-2, 1.0, **{tol: value})
+
+    # a fractional count raised TypeError, True ran as 1, and 10**8 asked
+    # for 3.73 GiB at dim 5; each runs in a child under a 1 GiB address space
+    @pytest.mark.parametrize(
+        "value, shown", [("2.5", "2.5"), ("True", "True"), ("10**8", "100000000")]
+    )
+    def test_checkpoints_must_be_a_capped_integer(self, value, shown):
+        outcome = capped_outcome(
+            "integrate_flow, make_problem",
+            "p = make_problem('cubic-monotone', dim=5)",
+            f"integrate_flow(p, 0.01, 1.0, checkpoints={value})",
+        )
+        assert outcome == (
+            f"ValueError: checkpoints must be an integer in [1, {MAX_CHECKPOINTS}], "
+            f"got {shown}"
+        )
+
+    def test_checkpoints_accepts_numpy_integers(self, cubic):
+        traj = integrate_flow(cubic, 1e-1, 1.0, checkpoints=np.int64(2))
+        assert traj.states.shape == (3, cubic.dim)
+        assert traj.times.tolist() == [0.0, 0.5, 1.0]
 
     def test_impossible_tolerance_fails_numerically(self, cubic):
         with pytest.raises(NumericalFailure):

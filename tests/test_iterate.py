@@ -22,7 +22,7 @@ from dsm import (
     verify_step_recursion,
 )
 
-from conftest import identity_problem
+from conftest import capped_outcome, identity_problem
 
 SQRT_E = math.sqrt(math.e)
 
@@ -200,6 +200,28 @@ class TestRunIteration:
             run_iteration(
                 hilbert_linear, Schedule.oracle(), StepRule.constant_h(1.0), 3
             )
+
+
+class TestMaxNArgument:
+    # max_n=2.5 raised TypeError and True ran as one step; each runs in a
+    # child under a 1 GiB address space
+    @pytest.mark.parametrize("value", ["2.5", "True", "0"])
+    def test_max_n_must_be_a_positive_integer(self, value):
+        outcome = capped_outcome(
+            "Schedule, StepRule, make_problem, run_iteration",
+            "p = make_problem('cubic-monotone', dim=5)",
+            "run_iteration(p, Schedule.constant(0.1), StepRule.constant_h(0.5), "
+            f"max_n={value})",
+        )
+        assert outcome == f"ValueError: max_n must be an integer in [1, inf], got {value}"
+
+    def test_max_n_accepts_numpy_integers(self):
+        p = identity_problem(3, f=[1.0, 2.0, 3.0])
+        history = run_iteration(
+            p, Schedule.constant(0.1), StepRule.constant_h(0.5), np.int64(3),
+            stop_residual=0.0,
+        )
+        assert [s.index for s in history.steps] == [0, 1, 2, 3]
 
 
 class TestStepRecursionCertificate:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsm import (
     NumericalFailure,
@@ -190,6 +192,57 @@ class TestMinimalNormSolution:
         p = diag_linear_problem([0.0, 1.0], [1.0, 0.0])
         with pytest.raises(NumericalFailure):
             minimal_norm_solution(p)
+
+
+def svd_pinv_solution(m, f):
+    """The oracle's former form: a full SVD pseudoinverse applied to ``f``."""
+    u_mat, sing, vt = np.linalg.svd(m)
+    cutoff = 1e-12 * (sing[0] if sing.size else 0.0)
+    inv = np.divide(1.0, sing, out=np.zeros_like(sing), where=sing > cutoff)
+    return vt.T @ (inv * (u_mat.T @ f))
+
+
+def planted_kernel_matrix(dim, kernel_dim, seed, skew):
+    """A monotone matrix whose kernel is exactly the span of the returned
+    columns: a PSD part with eigenvalues in [0.1, 10] on the complement,
+    plus ``skew`` times a skew-symmetric part, both projected off the
+    kernel (``skew=0`` gives the symmetric PSD family)."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    kernel, rest = q[:, :kernel_dim], q[:, kernel_dim:]
+    psd = (rest * rng.uniform(0.1, 10.0, dim - kernel_dim)) @ rest.T
+    psd = 0.5 * (psd + psd.T)
+    g = rng.standard_normal((dim, dim))
+    off = np.eye(dim) - kernel @ kernel.T
+    m = psd + skew * (off @ (g - g.T) @ off)
+    return m, kernel, rng.standard_normal(dim)
+
+
+class TestMinimalNormOracleProperty:
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["psd", "psd-plus-skew"])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(3, 40),
+        kernel_share=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+        skew=st.floats(0.1, 10.0),
+    )
+    def test_matches_svd_pseudoinverse_and_is_orthogonal_to_kernel(
+        self, symmetric, dim, kernel_share, seed, skew
+    ):
+        kernel_dim = max(1, int(kernel_share * dim))
+        m, kernel, x = planted_kernel_matrix(dim, kernel_dim, seed, 0.0 if symmetric else skew)
+        assert np.array_equal(m, m.T) == symmetric
+        f = m @ x  # consistent data with a kernel component in x
+        p = ProblemInstance(
+            dim=dim, operator=lambda u: m @ u, data=f, jacobian=lambda u: m.copy(),
+            is_linear=True,
+        )
+        y = minimal_norm_solution(p)
+        reference = svd_pinv_solution(m, f)
+        assert norm(y - reference) <= 1e-10 * norm(reference)
+        assert np.max(np.abs(kernel.T @ y)) <= 1e-10 * norm(y)
+        assert norm(m @ y - f) <= 1e-10 * (1.0 + norm(f))
 
 
 class TestNoisyRootGap:
