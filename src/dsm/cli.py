@@ -61,16 +61,6 @@ def _check(check_id: str, observed: float, bound: float) -> dict:
     }
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.ndarray, np.generic)):  # arrays and numpy scalars
-        return _jsonable(obj.tolist())
-    return obj
-
-
 # ---------------------------------------------------------------------------
 # flow
 
@@ -133,7 +123,7 @@ def _run_flow(cfg: dict, out_dir: Path):
             "root_newton_iters": root.newton_iters,
         },
         "checks": checks,
-        "artifacts": ["trajectory.csv"],
+        "artifacts": ["trajectory.csv", "flow.csv"],
     }
     table = {
         "columns": ["t", "residual", "model_residual", "root_gap", "gap_bound"],
@@ -368,7 +358,7 @@ def _run_lemma_sim(cfg: dict, out_dir: Path):
     a = _sequence(cfg["a"], horizon, "a")
     b = _sequence(cfg["b"], horizon, "b")
     chain = recursion.check_bound_chain(cfg["g1"], a, b, slack=cfg["slack"])
-    diag = recursion.horizon_diagnostics(a, b, horizon)
+    diag = recursion.horizon_diagnostics(a, b)
     checks = [_check(CHECK_INDUCTION_CHAIN, chain.observed, chain.bound)]
 
     rows = []
@@ -486,7 +476,7 @@ _LEMMA_SIM_FIELDS = {
 }
 # kind -> (runner, fields, the CSV that holds the summary table)
 _EXPERIMENTS = {
-    "flow": (_run_flow, _FLOW_FIELDS, None),  # its CSV is the trajectory file
+    "flow": (_run_flow, _FLOW_FIELDS, "flow.csv"),
     "iterate": (_run_iterate, _ITERATE_FIELDS, "history.csv"),
     "reg-path": (_run_reg_path, _REG_PATH_FIELDS, "path.csv"),
     "noise-study": (_run_noise_study, _NOISE_STUDY_FIELDS, "noise.csv"),
@@ -532,10 +522,7 @@ def run_experiment(config: dict, out_dir) -> dict:
     if problem is not None:
         # describe the instance the runner built; the matrix goes in as a hash
         report["problem"] = corpus._describe(cfg["problem"], problem, full_matrix=False)
-    report = _jsonable(report)
-
-    if csv_name is not None:
-        (out_dir / csv_name).write_text(emit_table({"table": table}, "csv"))
+    (out_dir / csv_name).write_text(emit_table({"table": table}, "csv"))
 
     (out_dir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"

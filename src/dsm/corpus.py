@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .linsolve import MAX_DIM
-from .problem import ProblemInstance, as_matrix, as_vector, jacobian, norm
+from .problem import ProblemInstance, _as_count, _rng, as_matrix, as_vector, jacobian, norm
 
 __all__ = [
     "corpus_names",
@@ -43,12 +43,14 @@ __all__ = [
 ]
 
 
-def _check_dim(dim: int, least: int) -> None:
-    """Reject a dim outside [least, MAX_DIM] before anything is allocated."""
+def _check_dim(dim: int, least: int) -> int:
+    """The integer dim, rejected outside [least, MAX_DIM] before anything is allocated."""
+    dim = _as_count(dim, "dim")
     if dim < least:
         raise ValueError(f"dim must be at least {least}")
     if dim > MAX_DIM:
         raise ValueError(f"dimension {dim} exceeds supported maximum {MAX_DIM}")
+    return dim
 
 
 def _orthogonal(dim: int, rng) -> np.ndarray:
@@ -64,8 +66,8 @@ def make_psd_singular_linear(dim: int = 8, seed: int = 1) -> ProblemInstance:
     the range projection of the generating point, which is exactly the
     minimal-norm solution.
     """
-    _check_dim(dim, 3)
-    rng = np.random.default_rng(seed)
+    dim = _check_dim(dim, 3)
+    rng = _rng(seed)
     q = _orthogonal(dim, rng)
     eigs = np.concatenate([[0.0, 0.0], np.linspace(0.1, 1.0, dim - 2)])
     m = (q * eigs) @ q.T
@@ -91,7 +93,7 @@ def make_psd_singular_linear(dim: int = 8, seed: int = 1) -> ProblemInstance:
 
 def make_hilbert_psd(dim: int = 12) -> ProblemInstance:
     """Hilbert matrix problem; positive definite but extremely ill-conditioned."""
-    _check_dim(dim, 1)
+    dim = _check_dim(dim, 1)
     i = np.arange(1, dim + 1)
     m = 1.0 / (i[:, None] + i[None, :] - 1.0)
     y_star = np.ones(dim)
@@ -121,10 +123,10 @@ def make_cubic_monotone(
     bound ``6 * (radius + |y*|)`` is valid on the origin-centered ball of
     that radius, which contains every iterate the suite produces.
     """
-    _check_dim(dim, 3)
+    dim = _check_dim(dim, 3)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     g = rng.standard_normal((dim - 2, dim)) / np.sqrt(dim)
     m = g.T @ g
     y_star = np.ones(dim)
@@ -150,8 +152,8 @@ def make_random_monotone(dim: int = 10, seed: int = 3) -> ProblemInstance:
     on the kernel of the matrix part.  Its second derivative never
     exceeds 0.77 in magnitude, giving a small global curvature bound.
     """
-    _check_dim(dim, 3)
-    rng = np.random.default_rng(seed)
+    dim = _check_dim(dim, 3)
+    rng = _rng(seed)
     g = rng.standard_normal((dim - 2, dim)) / np.sqrt(dim)
     m = g.T @ g
     y_star = rng.uniform(-1.0, 1.0, size=dim)
@@ -198,10 +200,10 @@ def add_noise(f: np.ndarray, delta: float, seed: int) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if not (delta > 0) or not np.isfinite(delta):
         raise ValueError("delta must be a positive finite real")
-    eta = np.random.default_rng(seed).standard_normal(f.shape)
+    eta = _rng(seed).standard_normal(f.shape)
     while norm(eta) == 0.0:  # astronomically improbable; re-draw deterministically
         seed += 1
-        eta = np.random.default_rng(seed).standard_normal(f.shape)
+        eta = _rng(seed).standard_normal(f.shape)
     return f + delta * (eta / norm(eta))
 
 

@@ -16,20 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .linsolve import reg_solve
-from .problem import (
-    NumericalFailure,
-    ProblemInstance,
-    _as_count,
-    apply_operator,
-    as_vector,
-    jacobian,
-    norm,
-)
+from .problem import NumericalFailure, ProblemInstance, _as_count, as_vector, norm
+from .regroot import _newton_direction, _residual
 
 __all__ = [
     "FlowResult",
@@ -71,7 +63,7 @@ def residual_value(
 ) -> float:
     """Regularized residual norm |B(u) + eps*u - f| at a single point."""
     f_active = problem.data if f_override is None else f_override
-    return norm(apply_operator(problem, u) + epsilon * u - f_active)
+    return norm(_residual(problem, epsilon, u, f_active))
 
 
 def flow_field(
@@ -85,8 +77,7 @@ def flow_field(
     )
 
     def rhs(u: np.ndarray) -> np.ndarray:
-        res = apply_operator(problem, u) + epsilon * u - f_active
-        return -reg_solve(jacobian(problem, u), epsilon, res).solution
+        return -_newton_direction(problem, epsilon, u, _residual(problem, epsilon, u, f_active))
 
     return rhs
 
@@ -248,23 +239,19 @@ def solve_to_stopping(
     epsilon: float,
     checkpoints: int = 10,
     u0=None,
+    f_override=None,
     rtol: float = 1e-8,
     atol: float = 1e-10,
 ) -> StoppingResult:
-    """Integrate the flow up to t = stopping_time(epsilon).
+    """Integrate the flow, on ``f_override`` if given, up to t = stopping_time(epsilon).
 
     At that horizon the iterate sits within ``g(0) * epsilon`` of the
     regularized root, so pairing this with a decreasing epsilon sequence
     drives the iterate to the minimal-norm solution.
     """
     traj = integrate_flow(
-        problem,
-        epsilon,
-        stopping_time(epsilon),
-        checkpoints=checkpoints,
-        u0=u0,
-        rtol=rtol,
-        atol=atol,
+        problem, epsilon, stopping_time(epsilon), checkpoints=checkpoints, u0=u0,
+        f_override=f_override, rtol=rtol, atol=atol,
     )
     return StoppingResult(u_final=traj.states[-1], trajectory=traj)
 
@@ -275,7 +262,6 @@ class NoisyStoppingResult:
 
     w_final: np.ndarray
     epsilon_used: float
-    delta: float
     trajectory: FlowResult
 
 
@@ -285,7 +271,6 @@ def solve_noisy_to_stopping(
     delta: float,
     b_exp: float,
     checkpoints: int = 10,
-    u0=None,
     rtol: float = 1e-8,
     atol: float = 1e-10,
 ) -> NoisyStoppingResult:
@@ -300,19 +285,7 @@ def solve_noisy_to_stopping(
     if not (0.0 < b_exp < 1.0):
         raise ValueError("b_exp must lie in (0, 1)")
     eps = delta**b_exp
-    traj = integrate_flow(
-        problem,
-        eps,
-        stopping_time(eps),
-        checkpoints=checkpoints,
-        u0=u0,
-        f_override=f_noisy,
-        rtol=rtol,
-        atol=atol,
+    res = solve_to_stopping(
+        problem, eps, checkpoints=checkpoints, f_override=f_noisy, rtol=rtol, atol=atol
     )
-    return NoisyStoppingResult(
-        w_final=traj.states[-1],
-        epsilon_used=eps,
-        delta=float(delta),
-        trajectory=traj,
-    )
+    return NoisyStoppingResult(w_final=res.u_final, epsilon_used=eps, trajectory=res.trajectory)

@@ -22,17 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linsolve import reg_solve
-from .problem import (
-    NumericalFailure,
-    ProblemInstance,
-    _as_count,
-    apply_operator,
-    as_vector,
-    jacobian,
-    norm,
-)
-from .regroot import RegRoot, solve_regularized
+from .problem import NumericalFailure, ProblemInstance, _as_count, as_vector, norm
+from .regroot import RegRoot, _newton_direction, _residual, solve_regularized
 
 __all__ = [
     "StepRule",
@@ -195,16 +186,14 @@ def iterate_step(
     u_n: np.ndarray,
     eps_n: float,
     h_n: float,
-    f_active=None,
 ) -> np.ndarray:
     """One damped regularized Newton step from u_n."""
     if not (eps_n > 0) or not np.isfinite(eps_n):
         raise ValueError("eps_n must be a positive finite real")
     _check_h(h_n)
     u_n = as_vector(u_n, problem.dim, "u_n")
-    f = problem.data if f_active is None else as_vector(f_active, problem.dim, "f")
-    res = apply_operator(problem, u_n) + eps_n * u_n - f
-    return u_n - h_n * reg_solve(jacobian(problem, u_n), eps_n, res).solution
+    res = _residual(problem, eps_n, u_n, problem.data)
+    return u_n - h_n * _newton_direction(problem, eps_n, u_n, res)
 
 
 def _curvature_constant(problem: ProblemInstance) -> float:
@@ -296,7 +285,6 @@ def run_iteration(
     steps: StepRule,
     max_n: int,
     u0=None,
-    f_active=None,
     stop_residual: Optional[float] = None,
     record_roots: bool = False,
 ) -> IterationHistory:
@@ -312,9 +300,8 @@ def run_iteration(
         raise ValueError(
             f"explicit step rule supplies {steps.limit} steps but max_n={max_n}"
         )
-    f = problem.data if f_active is None else as_vector(f_active, problem.dim, "f")
     if stop_residual is None:
-        stop_residual = 1e-10 * (1.0 + norm(f))
+        stop_residual = 1e-10 * (1.0 + norm(problem.data))
     track = record_roots or schedule.kind == "oracle"
     c = _curvature_constant(problem) if schedule.kind == "oracle" else None
     u = np.zeros(problem.dim) if u0 is None else as_vector(u0, problem.dim, "u0").copy()
@@ -336,7 +323,7 @@ def run_iteration(
                 eps_n = max(schedule.floor, schedule.eps0 * schedule.ratio**n)
             if track:
                 root = solve_regularized(problem, eps_n, init=prev_root)
-        res_vec = apply_operator(problem, u) + eps_n * u - f
+        res_vec = _residual(problem, eps_n, u, problem.data)
         res_norm = norm(res_vec)
         rows.append(
             dict(
@@ -358,7 +345,7 @@ def run_iteration(
             break
         h_n = steps.h_at(n)
         rows[-1]["h"] = h_n
-        u = u - h_n * reg_solve(jacobian(problem, u), eps_n, res_vec).solution
+        u = u - h_n * _newton_direction(problem, eps_n, u, res_vec)
 
     out = []
     for i, row in enumerate(rows):

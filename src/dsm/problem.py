@@ -51,13 +51,24 @@ def norm(u: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
+def _integral(value) -> bool:
+    """Numpy integers and integral floats are integers here; bools are not."""
+    return not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()))
+
+
 def _as_count(value, name: str, cap: float = math.inf) -> int:
-    """A count in [1, cap] as an int: numpy integers and integral floats pass, bools do not."""
-    integral = isinstance(value, numbers.Integral) or (
-        isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral or not 1 <= value <= cap:
+    """A count in [1, cap] as an int."""
+    if not _integral(value) or not 1 <= value <= cap:
         raise ValueError(f"{name} must be an integer in [1, {cap}], got {value!r}")
     return int(value)
+
+
+def _rng(seed) -> np.random.Generator:
+    """The generator of an integer seed; anything else is a ``ValueError``."""
+    if not _integral(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return np.random.default_rng(int(seed))
 
 
 def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
@@ -203,11 +214,10 @@ def check_monotonicity(
     raw minimum pairing over all sampled pairs and whether every pair
     cleared its tolerance.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _as_count(trials, "trials")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     min_pairing = np.inf
     passed = True
     for _ in range(trials):

@@ -171,8 +171,8 @@ class HorizonReport:
     tail_nonincreasing_trend: bool
 
 
-def horizon_diagnostics(a, b, horizon: int | None = None) -> HorizonReport:
-    """Summarize the convergence hypotheses over a finite horizon.
+def horizon_diagnostics(a, b) -> HorizonReport:
+    """Summarize the convergence hypotheses over the horizon ``len(a)``.
 
     The weight trend asks whether the last half of the horizon still
     contributes more than 1% of the partial sum; the tail trend asks
@@ -185,13 +185,9 @@ def horizon_diagnostics(a, b, horizon: int | None = None) -> HorizonReport:
     b = np.asarray(b, dtype=float)
     if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
         raise ValueError("a and b must be one-dimensional and equally long")
-    if horizon is None:
-        horizon = a.size
+    horizon = a.size
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
-    if a.size < horizon:
-        raise ValueError(f"need {horizon} terms, got {a.size}")
-    a, b = a[:horizon], b[:horizon]
     if not np.all(a > 0.0) or not np.all(np.isfinite(a)):
         raise ValueError("weights a must be positive finite reals")
     if not np.all(b >= 0.0) or not np.all(np.isfinite(b)):

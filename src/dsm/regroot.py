@@ -2,8 +2,9 @@
 
 For monotone B and eps > 0 the regularized equation has exactly one
 solution, and as eps decreases those roots converge to the minimal-norm
-solution of B(u) = f.  This module computes the roots by damped Newton
-(sharing the shifted linear solve used everywhere else), walks
+solution of B(u) = f.  This module holds the regularized residual and its
+shifted Newton direction, which the flow and the iteration step along too,
+computes the roots by damped Newton along that direction, walks
 regularization paths with warm starts, and provides minimal-norm ground
 truth for problems that admit an oracle.  All quantitative bound checks in
 the test suite lean on these roots, so the Newton tolerance defaults tight:
@@ -12,6 +13,7 @@ the test suite lean on these roots, so the Newton tolerance defaults tight:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -46,6 +48,19 @@ def default_newton_tol(f_active: np.ndarray) -> float:
     return 1e-12 * (1.0 + norm(f_active))
 
 
+def _residual(problem: ProblemInstance, epsilon: float, u: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The regularized residual B(u) + eps*u - f."""
+    return apply_operator(problem, u) + epsilon * u - f
+
+
+def _newton_direction(
+    problem: ProblemInstance, epsilon: float, u: np.ndarray, res: np.ndarray
+) -> np.ndarray:
+    """The shifted Newton direction (B'(u) + eps I)^{-1} res; the flow, the
+    iteration and the root all step along its negative."""
+    return reg_solve(jacobian(problem, u), epsilon, res).solution
+
+
 @dataclass(frozen=True)
 class RegRoot:
     """One regularized root, with the residual it achieved.
@@ -71,9 +86,10 @@ def solve_regularized(
 ) -> RegRoot:
     """Damped Newton for B(v) + eps*v = f (or an overriding right-hand side).
 
-    Each step solves the shifted linearization and backtracks by halving
-    until the residual satisfies the sufficient-decrease test
-    ``|F(v + lam*d)| <= (1 - 0.25*lam) |F(v)|``.  A stalled line search
+    Each step takes the shifted Newton direction ``d`` of the residual
+    ``F`` and backtracks by halving until the sufficient-decrease test
+    ``|F(v - lam*d)| <= (1 - 0.25*lam) |F(v)|`` holds.  A given
+    ``newton_tol`` must be a positive finite real.  A stalled line search
     raises :class:`NumericalFailure`; exceeding ``max_iters`` returns the
     best iterate flagged as unconverged.
     """
@@ -84,20 +100,18 @@ def solve_regularized(
     )
     if newton_tol is None:
         newton_tol = default_newton_tol(f_active)
+    elif not (0.0 < newton_tol < math.inf):
+        raise ValueError("newton_tol must be a positive finite real")
     v = np.zeros(problem.dim) if init is None else as_vector(init, problem.dim, "init").copy()
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        return apply_operator(problem, x) + epsilon * x - f_active
-
-    res = residual(v)
+    res = _residual(problem, epsilon, v, f_active)
     res_norm = norm(res)
     iters = 0
     while res_norm > newton_tol and iters < max_iters:
-        step = reg_solve(jacobian(problem, v), epsilon, -res).solution
+        d = _newton_direction(problem, epsilon, v, res)
         lam = 1.0
         while True:
-            trial = v + lam * step
-            trial_res = residual(trial)
+            trial = v - lam * d
+            trial_res = _residual(problem, epsilon, trial, f_active)
             trial_norm = norm(trial_res)
             if trial_norm <= (1.0 - 0.25 * lam) * res_norm:
                 break
@@ -142,7 +156,6 @@ def regularization_path(
     problem: ProblemInstance,
     epsilons: Sequence[float],
     newton_tol: float | None = None,
-    max_iters: int = 80,
 ) -> RegPathResult:
     """Solve the regularized equation along a strictly decreasing eps grid.
 
@@ -164,9 +177,7 @@ def regularization_path(
     entries: list[RegPathEntry] = []
     prev_v: np.ndarray | None = None
     for eps in eps_list:
-        root = solve_regularized(
-            problem, eps, init=prev_v, newton_tol=newton_tol, max_iters=max_iters
-        )
+        root = solve_regularized(problem, eps, init=prev_v, newton_tol=newton_tol)
         entries.append(
             RegPathEntry(
                 epsilon=eps,

@@ -25,11 +25,12 @@ class TestRunExperiment:
         assert report["kind"] == "flow"
         assert report["checks_pass"]
         assert report["problem"]["name"] == "cubic-monotone"
-        assert set(report["artifacts"]) == {"report.json", "trajectory.csv"}
+        assert set(report["artifacts"]) == {"report.json", "trajectory.csv", "flow.csv"}
         checks = {c["check"] for run in report["runs"] for c in run["checks"]}
         assert checks == {"residual-decay", "flow-limit-gap", "stopping-gap"}
         assert (tmp_path / "report.json").exists()
         assert (tmp_path / "trajectory.csv").exists()
+        assert (tmp_path / "flow.csv").exists()
         timing = json.loads((tmp_path / "timing.json").read_text())
         assert timing["total_seconds"] > 0
 
@@ -248,6 +249,15 @@ class TestCliEntryPoint:
         assert code == 2
         assert "kind" in err
 
+    @pytest.mark.parametrize("tol", ["-1", "0"])
+    def test_nonpositive_newton_tol_exits_two(self, tmp_path, capsys, tol):
+        code, _, err = self.run(
+            capsys, "reg-path", "--config", str(CONFIGS / "reg-path.json"),
+            "--out", str(tmp_path), "--set", f"newton_tol={tol}",
+        )
+        assert code == 2
+        assert "newton_tol must be a positive finite real" in err
+
     def test_numerical_failure_exits_three(self, tmp_path, capsys):
         code, _, err = self.run(
             capsys,
@@ -305,9 +315,9 @@ class TestCliEntryPoint:
 
 
 class TestTableWrittenOnce:
-    # the summary table is the kind's CSV artifact; flow's table is printed only
+    # the summary table is the kind's CSV artifact
     TABLE_CSV = {
-        "flow": None,
+        "flow": "flow.csv",
         "iterate": "history.csv",
         "reg-path": "path.csv",
         "noise-study": "noise.csv",
@@ -322,10 +332,7 @@ class TestTableWrittenOnce:
         assert {k: v for k, v in report.items() if k != "table"} == written
         csv_text = emit_table(report, "csv")
         csv_name = self.TABLE_CSV[kind]
-        if csv_name is None:
-            assert sorted(p.name for p in (tmp_path / "lib").glob("*.csv")) == ["trajectory.csv"]
-        else:
-            assert (tmp_path / "lib" / csv_name).read_text() == csv_text
+        assert (tmp_path / "lib" / csv_name).read_text() == csv_text
 
         code = main([kind, "--config", str(CONFIGS / f"{kind}.json"),
                      "--out", str(tmp_path / "cli"), "--table", "csv"])
@@ -333,8 +340,7 @@ class TestTableWrittenOnce:
         assert code == 0
         assert out[:len(csv_text)] == csv_text
         assert out[len(csv_text):].startswith(f"{kind}: ")
-        if csv_name is not None:
-            assert (tmp_path / "cli" / csv_name).read_text() == csv_text
+        assert (tmp_path / "cli" / csv_name).read_text() == csv_text
 
     def test_lemma_sim_report_stays_small_at_horizon_3000(self, tmp_path):
         # the path-certify workload's lemma-sim: 3001 table rows, none in report.json

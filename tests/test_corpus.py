@@ -21,6 +21,22 @@ from dsm import (
 from conftest import run_capped
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: make_problem("cubic-monotone", dim=10.5),
+        lambda: make_problem("cubic-monotone", seed=1.5),
+        lambda: make_problem("random-monotone", seed=True),
+        lambda: add_noise(np.ones(3), 0.1, 1.5),
+        lambda: check_monotonicity(make_problem("hilbert-psd"), 2.5, 0, 1.0),
+    ],
+    ids=["fractional-dim", "fractional-seed", "bool-seed", "noise-seed", "trials"],
+)
+def test_non_integer_counts_and_seeds_are_value_errors(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
 def huge_dim_outcomes(call: str) -> list[str]:
     """Run ``call`` once per corpus name in a capped child (see
     ``conftest.run_capped``); return each outcome as text."""

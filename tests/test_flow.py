@@ -230,6 +230,17 @@ class TestSolveNoisyToStopping:
             1 + norm(res_clean.u_final)
         )
 
+    def test_is_the_stopping_flow_on_the_noisy_data(self, rank_deficient_linear):
+        p = rank_deficient_linear
+        delta, b_exp = 1e-3, 0.5
+        f_noisy = add_noise(p.data, delta, seed=7)
+        noisy = solve_noisy_to_stopping(p, f_noisy, delta, b_exp)
+        plain = solve_to_stopping(p, delta**b_exp, f_override=f_noisy)
+        assert noisy.epsilon_used == delta**b_exp
+        assert np.array_equal(noisy.w_final, plain.u_final)
+        assert np.array_equal(noisy.trajectory.states, plain.trajectory.states)
+        assert np.array_equal(noisy.trajectory.residuals, plain.trajectory.residuals)
+
     def test_parameter_validation(self, cubic):
         f = cubic.data
         with pytest.raises(ValueError):

@@ -103,6 +103,14 @@ class TestIterateStep:
         out = iterate_step(cubic, u, 1e-1, 1e-8)
         assert norm(out - u) <= 1e-7 * (1 + norm(u))
 
+    def test_matches_the_first_step_of_run_iteration(self, cubic):
+        u0 = np.full(cubic.dim, 0.5)
+        eps, h = 0.1, 0.75
+        history = run_iteration(
+            cubic, Schedule.constant(eps), StepRule.constant_h(h), max_n=1, u0=u0
+        )
+        assert np.array_equal(iterate_step(cubic, u0, eps, h), history.steps[1].u)
+
     def test_step_size_range_enforced(self, cubic):
         u = np.zeros(cubic.dim)
         with pytest.raises(ValueError):

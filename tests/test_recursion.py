@@ -257,7 +257,7 @@ class TestHorizonDiagnostics:
         h = 200
         a = np.full(h, 0.5)
         b = 1.0 / np.arange(1, h + 1)
-        rep = horizon_diagnostics(a, b, h)
+        rep = horizon_diagnostics(a, b)
         assert rep.weight_sum == pytest.approx(100.0, rel=1e-14)
         assert rep.weights_diverging_trend
         assert rep.tail_sum < 0.02
@@ -265,21 +265,19 @@ class TestHorizonDiagnostics:
 
     def test_zero_forcing_has_zero_tail(self):
         for h in (10, 50):
-            rep = horizon_diagnostics(np.full(h, 0.3), np.zeros(h), h)
+            rep = horizon_diagnostics(np.full(h, 0.3), np.zeros(h))
             assert rep.tail_sum == 0.0
             assert rep.tail_nonincreasing_trend
 
     def test_summable_weights_flagged_as_nondivergent(self):
         h = 400
         k = np.arange(1, h + 1)
-        rep = horizon_diagnostics(1.0 / k**2, np.full(h, 0.1), h)
+        rep = horizon_diagnostics(1.0 / k**2, np.full(h, 0.1))
         assert rep.weight_sum < math.pi**2 / 6
         assert rep.weight_sum > 1.6
         assert not rep.weights_diverging_trend
         assert not rep.tail_nonincreasing_trend
 
     def test_horizon_validation(self):
-        with pytest.raises(ValueError):
-            horizon_diagnostics(np.full(5, 0.5), np.zeros(5), 1)
-        with pytest.raises(ValueError):
-            horizon_diagnostics(np.full(5, 0.5), np.zeros(5), 10)
+        with pytest.raises(ValueError, match="at least 2"):
+            horizon_diagnostics(np.full(1, 0.5), np.zeros(1))

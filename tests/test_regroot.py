@@ -60,8 +60,17 @@ class TestSolveRegularized:
             solve_regularized(cubic, 0.0)
 
     def test_iteration_cap_reports_unconverged(self, cubic):
-        root = solve_regularized(cubic, 1e-2, max_iters=1, newton_tol=1e-30)
-        assert not root.converged
+        for tol in (1e-30, 1e-300):  # tiny, but legal
+            root = solve_regularized(cubic, 1e-2, max_iters=1, newton_tol=tol)
+            assert not root.converged
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf"), -float("inf")])
+    def test_newton_tol_must_be_positive_finite(self, cubic, tol):
+        # bad input, not a stalled or unconverged Newton run
+        with pytest.raises(ValueError, match="newton_tol"):
+            solve_regularized(cubic, 0.1, newton_tol=tol)
+        with pytest.raises(ValueError, match="newton_tol"):
+            regularization_path(cubic, [0.1, 0.01], newton_tol=tol)
 
     def test_stalled_line_search_names_layer_eps_and_iteration(self):
         # the Jacobian is right once, then has the wrong sign, so the second
