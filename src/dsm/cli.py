@@ -522,7 +522,7 @@ def run_experiment(config: dict, out_dir) -> dict:
     if problem is not None:
         # describe the instance the runner built; the matrix goes in as a hash
         report["problem"] = corpus._describe(cfg["problem"], problem, full_matrix=False)
-    (out_dir / csv_name).write_text(emit_table({"table": table}, "csv"))
+    (out_dir / csv_name).write_text(_csv(table["columns"], table["rows"]))
 
     (out_dir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -555,10 +555,7 @@ def emit_table(report: dict, fmt: str = "markdown") -> str:
     table = report["table"]
     cols = table["columns"]
     if fmt == "csv":
-        lines = [",".join(cols)]
-        for row in table["rows"]:
-            lines.append(",".join(_fmt(v, "%.17g") for v in row))
-        return "\n".join(lines) + "\n"
+        return _csv(cols, table["rows"])
     body = [[_fmt(v, "%.6g") for v in row] for row in table["rows"]]
     widths = [
         max(len(c), *(len(r[i]) for r in body)) if body else len(c)
@@ -572,14 +569,17 @@ def emit_table(report: dict, fmt: str = "markdown") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv(columns, rows) -> str:
+    """CSV text with every float at 17 significant digits, so values round-trip."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_fmt(v, "%.17g") for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def _write_trajectory(path: Path, traj: flow.FlowResult) -> None:
-    dim = traj.states.shape[1]
-    header = "t,g," + ",".join(f"u_{i}" for i in range(dim))
-    lines = [header]
-    for t, g, u in zip(traj.times, traj.residuals, traj.states):
-        entries = [("%.17g" % t), ("%.17g" % g)] + [("%.17g" % x) for x in u]
-        lines.append(",".join(entries))
-    path.write_text("\n".join(lines) + "\n")
+    columns = ["t", "g"] + [f"u_{i}" for i in range(traj.states.shape[1])]
+    rows = ([t, g, *u] for t, g, u in zip(traj.times, traj.residuals, traj.states))
+    path.write_text(_csv(columns, rows))
 
 
 def _apply_override(config: dict, item: str) -> None:

@@ -23,12 +23,13 @@ consistent by construction.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import math
 
 import numpy as np
 
 from .linsolve import MAX_DIM
-from .problem import ProblemInstance, _as_count, _rng, as_matrix, as_vector, jacobian, norm
+from .problem import ProblemInstance, _as_count, _rng, as_matrix, jacobian, norm
 
 __all__ = [
     "corpus_names",
@@ -59,6 +60,20 @@ def _orthogonal(dim: int, rng) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def _linear(m: np.ndarray, f, known_solution, name: str) -> ProblemInstance:
+    """The linear problem ``m u = f``; ``known_solution`` is its minimal-norm solution or None."""
+    return ProblemInstance(
+        dim=m.shape[0],
+        operator=lambda u: m @ u,
+        data=f,
+        jacobian=lambda u: m,
+        known_solution=known_solution,
+        m2_bound=0.0,
+        is_linear=True,
+        name=name,
+    )
+
+
 def make_psd_singular_linear(dim: int = 8, seed: int = 1) -> ProblemInstance:
     """Symmetric PSD matrix with two zero eigenvalues and spectrum up to 1.
 
@@ -76,19 +91,7 @@ def make_psd_singular_linear(dim: int = 8, seed: int = 1) -> ProblemInstance:
     f = m @ y_star
     coords = q.T @ y_star
     coords[:2] = 0.0  # drop the kernel components
-    y_min = q @ coords
-    return ProblemInstance(
-        dim=dim,
-        operator=lambda u: m @ u,
-        data=f,
-        jacobian=lambda u: m,
-        known_solution=y_min,
-        m1_bound=1.0,
-        m2_bound=0.0,
-        is_linear=True,
-        is_strictly_monotone=False,
-        name="psd-singular-linear",
-    )
+    return _linear(m, f, q @ coords, "psd-singular-linear")
 
 
 def make_hilbert_psd(dim: int = 12) -> ProblemInstance:
@@ -97,19 +100,7 @@ def make_hilbert_psd(dim: int = 12) -> ProblemInstance:
     i = np.arange(1, dim + 1)
     m = 1.0 / (i[:, None] + i[None, :] - 1.0)
     y_star = np.ones(dim)
-    f = m @ y_star
-    return ProblemInstance(
-        dim=dim,
-        operator=lambda u: m @ u,
-        data=f,
-        jacobian=lambda u: m,
-        known_solution=y_star,
-        m1_bound=float(np.linalg.norm(m, 2)),
-        m2_bound=0.0,
-        is_linear=True,
-        is_strictly_monotone=True,
-        name="hilbert-psd",
-    )
+    return _linear(m, m @ y_star, y_star, "hilbert-psd")
 
 
 def make_cubic_monotone(
@@ -137,10 +128,7 @@ def make_cubic_monotone(
         data=f,
         jacobian=lambda u: m + np.diag(3.0 * u**2),
         known_solution=y_star,
-        m1_bound=None,
         m2_bound=6.0 * (radius + float(norm(y_star))),
-        is_linear=False,
-        is_strictly_monotone=True,
         name="cubic-monotone",
     )
 
@@ -164,10 +152,7 @@ def make_random_monotone(dim: int = 10, seed: int = 3) -> ProblemInstance:
         data=f,
         jacobian=lambda u: m + np.diag(1.0 - np.tanh(u) ** 2),
         known_solution=y_star,
-        m1_bound=None,
         m2_bound=0.77,
-        is_linear=False,
-        is_strictly_monotone=True,
         name="random-monotone",
     )
 
@@ -185,10 +170,18 @@ def corpus_names() -> list[str]:
 
 
 def make_problem(name: str, **kwargs) -> ProblemInstance:
-    """Build a corpus problem by name; kwargs go to its factory, dim <= MAX_DIM."""
+    """Build a corpus problem by name; kwargs go to its factory, dim <= MAX_DIM.
+
+    An option the factory does not take raises ``ValueError``.
+    """
     if name not in _FACTORIES:
         raise ValueError(f"unknown corpus problem {name!r}; choose from {sorted(_FACTORIES)}")
-    return _FACTORIES[name](**kwargs)
+    factory = _FACTORIES[name]
+    takes = inspect.signature(factory).parameters
+    for key in kwargs:
+        if key not in takes:
+            raise ValueError(f"{name} takes no {key} option, only {', '.join(takes)}")
+    return factory(**kwargs)
 
 
 def add_noise(f: np.ndarray, delta: float, seed: int) -> np.ndarray:
@@ -287,7 +280,6 @@ _LINEAR_FIELDS = {
     "matrix": ([[float]], REQUIRED),
     "data": ([float], REQUIRED),
     "known_solution": (([float], None), None),
-    "m1_bound": ((float, None), None),
     "name": (str, "external-linear"),
 }
 
@@ -299,40 +291,22 @@ def problem_from_dict(spec: dict) -> ProblemInstance:
     ``{"linear": {"matrix": ..., "data": ..., ...}}`` for an explicit
     matrix problem.  Explicit matrices must be monotone (symmetric part
     positive semidefinite); that is checked exactly here rather than
-    sampled later.
+    sampled later.  A corpus option its factory does not take is rejected
+    by :func:`make_problem`.
     """
     if isinstance(spec, dict) and "corpus" in spec:
         kwargs = _parse(spec, _CORPUS_FIELDS, "corpus")
-        name = kwargs.pop("corpus")
-        if name == "hilbert-psd" and "seed" in kwargs:
-            raise ValueError("hilbert-psd is deterministic and takes no seed")
-        if name != "cubic-monotone" and "radius" in kwargs:
-            raise ValueError("radius only applies to cubic-monotone")
-        return make_problem(name, **kwargs)
+        return make_problem(kwargs.pop("corpus"), **kwargs)
     if isinstance(spec, dict) and "linear" in spec:
         body = _parse(spec, {"linear": (dict, REQUIRED)}, "problem")["linear"]
         body = _parse(body, _LINEAR_FIELDS, "linear problem")
         m = as_matrix(body["matrix"])
-        dim = m.shape[0]
-        f = as_vector(body["data"], dim, "data")
         sym_min = float(np.linalg.eigvalsh(0.5 * (m + m.T)).min())
         if sym_min < -1e-12 * max(1.0, float(np.linalg.norm(m, 2))):
             raise ValueError(
                 f"matrix is not monotone (symmetric part has eigenvalue {sym_min:.3e})"
             )
-        known = body["known_solution"]
-        return ProblemInstance(
-            dim=dim,
-            operator=lambda u: m @ u,
-            data=f,
-            jacobian=lambda u: m,
-            known_solution=None if known is None else as_vector(known, dim, "known_solution"),
-            m1_bound=body["m1_bound"],
-            m2_bound=0.0,
-            is_linear=True,
-            is_strictly_monotone=False,
-            name=body["name"],
-        )
+        return _linear(m, body["data"], body["known_solution"], body["name"])
     raise ValueError("problem specification needs a 'corpus' or 'linear' entry")
 
 
@@ -358,10 +332,7 @@ def _describe(spec: dict, problem: ProblemInstance, full_matrix: bool) -> dict:
         "dim": problem.dim,
         "data": problem.data.tolist(),
         "is_linear": problem.is_linear,
-        "is_strictly_monotone": problem.is_strictly_monotone,
     }
-    if problem.m1_bound is not None:
-        out["m1_bound"] = problem.m1_bound
     if problem.m2_bound is not None:
         out["m2_bound"] = problem.m2_bound
     if problem.known_solution is not None:

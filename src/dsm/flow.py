@@ -62,7 +62,7 @@ def residual_value(
     problem: ProblemInstance, epsilon: float, u: np.ndarray, f_override=None
 ) -> float:
     """Regularized residual norm |B(u) + eps*u - f| at a single point."""
-    f_active = problem.data if f_override is None else f_override
+    f_active = problem.data if f_override is None else as_vector(f_override, problem.dim, "f")
     return norm(_residual(problem, epsilon, u, f_active))
 
 

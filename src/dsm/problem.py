@@ -4,7 +4,7 @@ The ambient space is R^n with the Euclidean inner product.  Vectors are 1-D
 numpy arrays, operator derivatives are dense square matrices.  A
 :class:`ProblemInstance` bundles the operator with its data vector and
 whatever ground truth is available (analytic Jacobian, known minimal-norm
-solution, derivative-norm bounds on a working ball), and this module holds
+solution, a second-derivative bound on a working ball), and this module holds
 the numerical certificates for the standing assumptions: monotonicity of B
 and control of the second-order Taylor remainder.
 """
@@ -112,12 +112,12 @@ class ProblemInstance:
         absent, :func:`jacobian` falls back to central finite differences.
     known_solution : array, optional
         The minimal-norm solution of B(u) = f, when an oracle provides it.
-    m1_bound, m2_bound : float, optional
-        Upper bounds for the first and second derivative norms on the
-        problem's working ball.  ``m2_bound`` gates the Taylor-remainder
-        certificate and the residual-driven iteration schedule.
-    is_linear, is_strictly_monotone : bool
-        Structure flags used by the solution oracles.
+    m2_bound : float, optional
+        Upper bound for the second derivative norm on the problem's
+        working ball.  It gates the Taylor-remainder certificate and the
+        residual-driven iteration schedule.
+    is_linear : bool
+        B is a matrix; the minimal-norm oracle then solves by least squares.
     name : str
         Free-form label, echoed in reports.
     """
@@ -127,10 +127,8 @@ class ProblemInstance:
     data: np.ndarray
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     known_solution: Optional[np.ndarray] = None
-    m1_bound: Optional[float] = None
     m2_bound: Optional[float] = None
     is_linear: bool = False
-    is_strictly_monotone: bool = False
     name: str = ""
 
     def __post_init__(self):
@@ -143,10 +141,8 @@ class ProblemInstance:
                 "known_solution",
                 as_vector(self.known_solution, self.dim, "known_solution"),
             )
-        for attr in ("m1_bound", "m2_bound"):
-            val = getattr(self, attr)
-            if val is not None and (not np.isfinite(val) or val < 0):
-                raise ValueError(f"{attr} must be a finite nonnegative real")
+        if self.m2_bound is not None and not 0 <= self.m2_bound < math.inf:
+            raise ValueError("m2_bound must be a finite nonnegative real")
 
 
 def apply_operator(problem: ProblemInstance, u) -> np.ndarray:

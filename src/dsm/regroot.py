@@ -198,18 +198,19 @@ def minimal_norm_solution(problem: ProblemInstance) -> np.ndarray:
 
     Linear problems get the least-squares pseudoinverse solution (LAPACK
     ``gelsd``: singular values at most ``1e-12 * sigma_max`` count as zero,
-    no singular vectors are formed), orthogonal to the kernel.  Strictly
-    monotone problems return the stored solution, unique by strict
-    monotonicity.  Anything else has no oracle and raises ``ValueError``.
+    no singular vectors are formed), orthogonal to the kernel.  Any other
+    problem returns its stored ``known_solution``, which is the minimal-norm
+    solution by contract; without one there is no oracle and ``ValueError``
+    is raised.  Either way the answer must reproduce the data.
     """
     if problem.is_linear:
         y = np.linalg.lstsq(jacobian(problem, np.zeros(problem.dim)), problem.data, rcond=1e-12)[0]
-    elif problem.is_strictly_monotone and problem.known_solution is not None:
+    elif problem.known_solution is not None:
         y = problem.known_solution.copy()
     else:
         raise ValueError(
             "no minimal-norm oracle for this problem "
-            "(needs linearity or strict monotonicity with a stored solution)"
+            "(needs linearity or a stored known_solution)"
         )
     back = norm(apply_operator(problem, y) - problem.data)
     if back > 1e-9 * (1.0 + norm(problem.data)):

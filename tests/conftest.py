@@ -86,7 +86,6 @@ def identity_problem(dim=2, f=None):
         known_solution=f.copy(),
         m2_bound=0.0,
         is_linear=True,
-        is_strictly_monotone=True,
         name="identity",
     )
 
@@ -112,6 +111,5 @@ def scalar_cubic_problem(f=2.0, m2_bound=12.0):
         data=np.array([float(f)]),
         jacobian=lambda u: np.array([[1.0 + 3.0 * u[0] ** 2]]),
         m2_bound=m2_bound,
-        is_strictly_monotone=True,
         name="scalar-cubic",
     )

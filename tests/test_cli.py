@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,12 @@ import numpy as np
 import pytest
 
 from dsm import NumericalFailure, corpus, emit_table, main, regroot, run_experiment
+from dsm.cli import _EXPERIMENTS
+from dsm.corpus import OPTIONAL, REQUIRED
 from dsm.problem import norm
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def load_config(name):
@@ -379,3 +383,59 @@ class TestEmitTable:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             emit_table(self.REPORT, "latex")
+
+
+def field_summary() -> dict:
+    """README's field summary as ``{bullet head: text}``, the head being the
+    backticked kind, ``problem`` or ``every kind``."""
+    text = README.read_text().split("Field summary", 1)[1].split("\n###", 1)[0]
+    bullets = {}
+    for bullet in text.split("\n- ")[1:]:
+        head, body = bullet.split(":", 1)
+        bullets[head.strip("`")] = " ".join(body.split())
+    return bullets
+
+
+def documented(text: str) -> dict:
+    """Each backticked name in ``text`` mapped to the JSON literal that opens
+    the parentheses after its first mention; ``None`` when none does."""
+    out = {}
+    for name, paren in re.findall(r"`(\w+)`(?: \(([^:;)]*))?", text):
+        try:
+            value = (json.loads(paren),)
+        except ValueError:
+            value = None
+        out.setdefault(name, value)
+    return out
+
+
+class TestReadmeFieldSummary:
+    """The field summary lists every field of each kind's table with its default."""
+
+    def check(self, fields: dict, text: str, where: str):
+        shown = documented(text)
+        for key, (_, default, *_) in fields.items():
+            assert key in shown, f"{where}: {key} is not documented"
+            if default is REQUIRED or default is OPTIONAL:
+                assert shown[key] is None, f"{where}: {key} has no default, README gives one"
+            else:
+                assert shown[key] is not None, f"{where}: {key} lacks its default ({default!r})"
+                (value,) = shown[key]
+                assert value == default and isinstance(value, bool) == isinstance(default, bool), (
+                    f"{where}: {key} defaults to {default!r}, README says {value!r}"
+                )
+        extra = [k for k, v in shown.items() if v is not None and k not in fields]
+        assert not extra, f"{where}: README gives defaults for unknown fields {extra}"
+
+    def test_every_kind_matches_its_field_table(self):
+        bullets = field_summary()
+        assert set(bullets) == {*_EXPERIMENTS, "every kind", "problem"}
+        self.check({"seed": (int, 0)}, bullets["every kind"], "every kind")
+        for kind, (_, fields, _) in _EXPERIMENTS.items():
+            assert fields["seed"] == (int, 0), kind
+            rest = {k: v for k, v in fields.items() if k != "seed"}
+            self.check(rest, bullets[kind], kind)
+
+    def test_linear_problem_matches_its_field_table(self):
+        linear = field_summary()["problem"].split("linear", 1)[1]
+        self.check(corpus._LINEAR_FIELDS, linear, "linear problem")

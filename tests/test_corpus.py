@@ -123,12 +123,12 @@ class TestProblemContracts:
             res = norm(apply_operator(p, p.known_solution) - p.data)
             assert res <= 1e-10 * (1.0 + norm(p.data))
 
-    def test_strict_monotonicity_flags(self, all_problems):
-        flags = {p.name: p.is_strictly_monotone for p in all_problems}
-        assert not flags["psd-singular-linear"]  # genuine kernel
-        assert flags["hilbert-psd"]
-        assert flags["cubic-monotone"]
-        assert flags["random-monotone"]
+    def test_nonlinear_solutions_are_isolated(self, cubic, tanh_monotone):
+        # a monotone equation has a convex solution set, so a solution where
+        # B'(y) is positive definite is the only one, hence the minimal-norm one
+        for p in (cubic, tanh_monotone):
+            m = jacobian(p, p.known_solution)
+            assert np.linalg.eigvalsh(0.5 * (m + m.T)).min() >= 0.5, p.name
 
     def test_singular_linear_solution_is_minimal_norm(self, rank_deficient_linear):
         p = rank_deficient_linear
@@ -193,10 +193,14 @@ class TestProblemFromDict:
     def test_hilbert_takes_no_seed(self):
         with pytest.raises(ValueError, match="no seed"):
             problem_from_dict({"corpus": "hilbert-psd", "seed": 2})
+        with pytest.raises(ValueError, match="no seed"):
+            make_problem("hilbert-psd", seed=2)
 
     def test_radius_restricted_to_cubic(self):
         with pytest.raises(ValueError, match="radius"):
             problem_from_dict({"corpus": "random-monotone", "radius": 2.0})
+        with pytest.raises(ValueError, match="radius"):
+            make_problem("random-monotone", radius=2.0)
         p = problem_from_dict({"corpus": "cubic-monotone", "radius": 2.0})
         assert p.m2_bound == pytest.approx(6.0 * (2.0 + norm(np.ones(10))))
 
@@ -268,7 +272,8 @@ class TestDescribeProblem:
         assert desc["spec"] == spec
         assert desc["name"] == "psd-singular-linear"
         assert desc["dim"] == 8
-        assert not desc["is_strictly_monotone"]
+        assert desc["is_linear"]
+        assert "is_strictly_monotone" not in desc and "m1_bound" not in desc
         rebuilt = problem_from_dict(
             {"linear": {"matrix": desc["matrix"], "data": desc["data"]}}
         )

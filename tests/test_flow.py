@@ -66,6 +66,22 @@ class TestFlowField:
             assert norm(rhs(root.v)) <= tol
 
 
+class TestResidualValue:
+    @pytest.mark.parametrize(
+        "f, match", [([1.0], "length 1, expected 10"), ([math.nan] * 10, "non-finite")],
+        ids=["short", "nan"],
+    )
+    def test_bad_override_rejected(self, cubic, f, match):
+        # the override is checked as flow_field checks it, not broadcast or passed on
+        with pytest.raises(ValueError, match=match):
+            residual_value(cubic, 0.1, np.zeros(cubic.dim), f_override=f)
+
+    def test_override_replaces_the_data(self, cubic):
+        u = np.zeros(cubic.dim)
+        assert residual_value(cubic, 0.1, u, f_override=cubic.data) == residual_value(cubic, 0.1, u)
+        assert residual_value(cubic, 0.1, u, f_override=np.zeros(cubic.dim)) == 0.0
+
+
 class TestIntegrateFlow:
     def test_pure_decay_hits_half_at_ln2(self):
         p = identity_problem(2)

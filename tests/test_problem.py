@@ -123,6 +123,14 @@ class TestVectorBasics:
             as_matrix(np.asfortranarray(m))
 
 
+class TestProblemInstance:
+    @pytest.mark.parametrize("bound", [-1.0, float("nan"), float("inf")])
+    def test_m2_bound_must_be_finite_and_nonnegative(self, bound):
+        with pytest.raises(ValueError, match="m2_bound"):
+            ProblemInstance(dim=1, operator=lambda u: u, data=[0.0], m2_bound=bound)
+        assert ProblemInstance(dim=1, operator=lambda u: u, data=[0.0], m2_bound=0.0).m2_bound == 0.0
+
+
 class TestApplyOperator:
     def test_identity(self):
         p = identity_problem(2)
@@ -133,7 +141,6 @@ class TestApplyOperator:
             dim=2,
             operator=lambda u: u + u**3,
             data=np.zeros(2),
-            is_strictly_monotone=True,
         )
         np.testing.assert_allclose(
             apply_operator(p, np.array([1.0, -1.0])), [2.0, -2.0]

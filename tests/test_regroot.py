@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,11 @@ from dsm import (
     NumericalFailure,
     ProblemInstance,
     add_noise,
+    apply_operator,
+    corpus_names,
     inner,
     jacobian,
+    make_problem,
     minimal_norm_solution,
     norm,
     regularization_path,
@@ -176,10 +181,26 @@ class TestMinimalNormSolution:
         np.testing.assert_allclose(y, [0.0, 3.0], atol=1e-12)
         assert norm(y) < norm(np.array([5.0, 3.0]))
 
-    def test_strictly_monotone_returns_stored_solution(self, cubic):
+    def test_nonlinear_problem_returns_stored_solution(self, cubic):
         np.testing.assert_allclose(
             minimal_norm_solution(cubic), cubic.known_solution, atol=0.0
         )
+
+    def test_stored_solution_need_not_be_unique(self):
+        # B(u) = (u1 + u1^3, 0) is monotone, not strictly: B(u) = f on the
+        # line u1 = 1, whose minimal-norm member is the stored (1, 0)
+        p = ProblemInstance(
+            dim=2,
+            operator=lambda u: np.array([u[0] + u[0] ** 3, 0.0]),
+            data=np.array([2.0, 0.0]),
+            known_solution=np.array([1.0, 0.0]),
+        )
+        np.testing.assert_array_equal(minimal_norm_solution(p), [1.0, 0.0])
+
+    def test_stored_solution_must_reproduce_the_data(self, cubic):
+        wrong = dataclasses.replace(cubic, known_solution=2.0 * cubic.known_solution)
+        with pytest.raises(NumericalFailure, match="reproduce the data"):
+            minimal_norm_solution(wrong)
 
     def test_no_oracle_raises(self):
         p = ProblemInstance(
@@ -266,3 +287,85 @@ class TestNoisyRootGap:
                     )
                     gap = norm(noisy.v - clean.v)
                     assert gap <= (1 + 1e-8) * delta / eps
+
+
+def certified_radius(problem, root):
+    """A bound on |root.v - V_eps| from the residual the solver reports.
+
+    B + eps I is eps-strongly monotone, so |v - V_eps| <= |B(v) + eps v - f| / eps.
+    The reported residual is enlarged by its own rounding error, dim ulps
+    of the terms it sums.  The root must have converged, so the radius is
+    at most about newton_tol / eps.
+    """
+    assert root.converged
+    v, eps, f = root.v, root.epsilon, problem.data
+    b = apply_operator(problem, v)
+    rounding = problem.dim * np.finfo(float).eps * (norm(b) + eps * norm(v) + norm(f))
+    return (root.residual_norm + rounding) / eps
+
+
+corpus_problems = st.builds(
+    lambda name, dim, seed: make_problem(
+        name, dim=dim, **({} if name == "hilbert-psd" else {"seed": seed})
+    ),
+    st.sampled_from(corpus_names()),
+    st.integers(3, 12),
+    st.integers(0, 2**16),
+)
+
+
+class TestMetamorphicRoots:
+    """Transformed problems whose roots are known from the original's; each
+    comparison holds up to the two certified radii.  The roots come from a
+    warm-started path down a decade grid, since a cold solve at eps ~1e-6
+    can fail reg_solve's residual contract (cubic-monotone d3, seed 3)."""
+
+    @staticmethod
+    def grid(scale, decades):
+        return scale * 10.0 ** -np.arange(decades + 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        problem=corpus_problems,
+        scale=st.floats(0.1, 1.0),
+        decades=st.integers(0, 6),
+        log_c=st.floats(-3.0, 3.0),
+    )
+    def test_scaling_keeps_the_root(self, problem, scale, decades, log_c):
+        # c B(v) + (c eps) v = c f is B(v) + eps v = f multiplied by c
+        c = 10.0**log_c
+        scaled = ProblemInstance(
+            dim=problem.dim,
+            operator=lambda u: c * apply_operator(problem, u),
+            data=c * problem.data,
+            jacobian=lambda u: c * jacobian(problem, u),
+        )
+        eps = self.grid(scale, decades)
+        path = regularization_path(problem, eps).entries
+        scaled_path = regularization_path(scaled, c * eps).entries
+        for v, w in zip(path, scaled_path, strict=True):
+            bound = certified_radius(problem, v.root) + certified_radius(scaled, w.root)
+            assert norm(w.root.v - v.root.v) <= bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        problem=corpus_problems,
+        scale=st.floats(0.1, 1.0),
+        decades=st.integers(0, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_orthogonal_conjugation_maps_the_root(self, problem, scale, decades, seed):
+        # Q^T B(Q w) + eps w = Q^T f is B(Q w) + eps Q w = f, so W = Q^T V
+        q = np.linalg.qr(np.random.default_rng(seed).standard_normal((problem.dim,) * 2))[0]
+        conjugated = ProblemInstance(
+            dim=problem.dim,
+            operator=lambda w: q.T @ apply_operator(problem, q @ w),
+            data=q.T @ problem.data,
+            jacobian=lambda w: q.T @ jacobian(problem, q @ w) @ q,
+        )
+        eps = self.grid(scale, decades)
+        path = regularization_path(problem, eps).entries
+        conjugated_path = regularization_path(conjugated, eps).entries
+        for v, w in zip(path, conjugated_path, strict=True):
+            bound = certified_radius(problem, v.root) + certified_radius(conjugated, w.root)
+            assert norm(w.root.v - q.T @ v.root.v) <= bound
