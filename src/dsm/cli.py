@@ -394,7 +394,7 @@ def _run_lemma_sim(cfg: dict, out_dir: Path):
 # Size caps, checked before anything sized by them is allocated.
 MAX_STEPS = 10_000  # run_iteration keeps every iterate and root it visits
 MAX_HORIZON = 100_000  # lemma-sim writes horizon + 1 CSV rows once: 10 MB, 100 MB peak RSS
-MAX_T_END = 1000.0  # g(0) exp(-t) underflows past t = 745; RK steps grow with t_end
+MAX_T_END = 1000.0  # the model residual g(0) exp(-t) underflows past t = 745
 
 # Field tables: key -> (type, default) or (type, default, cap), read by
 # corpus._parse.  A variant table {kind: (constructor, fields)} is itself

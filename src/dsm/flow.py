@@ -1,32 +1,29 @@
-"""Continuous regularized Newton flow and its adaptive integrator.
+"""Continuous regularized Newton flow, evaluated as a Newton homotopy.
 
-The flow is ``du/dt = -(B'(u) + eps I)^{-1} (B(u) + eps u - f)`` with a
-fixed eps > 0.  Along exact trajectories the regularized residual
-``g(t) = |B(u(t)) + eps u(t) - f|`` decays as ``g(0) * exp(-t)``, so the
-integrator is held to tight tolerances and the suite checks the measured
-residuals against that law independently of the stepper.
-
-Time stepping is an embedded 5(4) Runge-Kutta pair (Dormand-Prince
-coefficients) with the first-same-as-last economization.  Steps are
-clamped to land exactly on the requested checkpoint times so recorded
-states are never interpolated.
+The flow is ``du/dt = -(B'(u) + eps I)^{-1} F(u)`` with the regularized
+residual ``F(u) = B(u) + eps*u - f`` and a fixed eps > 0.  Along it
+``dF/dt = -F``, so ``F(u(t)) = exp(-t) F(u0)`` exactly, and ``B + eps I``
+is strongly monotone, so ``u(t)`` is the unique root of
+``B(u) + eps*u = f + exp(-t) F(u0)``.  Each checkpoint is one damped Newton
+solve of that equation, warm-started from the previous one (continuation
+as in Allgower and Georg, *Numerical Continuation Methods*, 1990), so the
+cost does not grow with the horizon.  Residuals are recomputed from the
+operator, so the decay law is checked independently of the solver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .problem import NumericalFailure, ProblemInstance, _as_count, as_vector, norm
-from .regroot import _newton_direction, _residual
+from .regroot import NEWTON_CAP, _damped_newton, _residual
 
 __all__ = [
     "FlowResult",
     "residual_value",
-    "flow_field",
     "stopping_time",
     "integrate_flow",
     "StoppingResult",
@@ -35,26 +32,6 @@ __all__ = [
     "solve_noisy_to_stopping",
 ]
 
-# Dormand-Prince 5(4) tableau.  _E is the difference between the 5th- and
-# 4th-order weight rows, so h * (k @ _E) estimates the local error.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
-
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 5.0
-_ORDER_EXP = 1.0 / 5.0
 MAX_CHECKPOINTS = 1000  # integrate_flow holds (checkpoints + 1) x dim states
 
 
@@ -66,24 +43,8 @@ def residual_value(
     return norm(_residual(problem, epsilon, u, f_active))
 
 
-def flow_field(
-    problem: ProblemInstance, epsilon: float, f_override=None
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Right-hand side of the regularized Newton flow as a closure."""
-    if not (epsilon > 0) or not np.isfinite(epsilon):
-        raise ValueError("epsilon must be a positive finite real")
-    f_active = (
-        problem.data if f_override is None else as_vector(f_override, problem.dim, "f")
-    )
-
-    def rhs(u: np.ndarray) -> np.ndarray:
-        return -_newton_direction(problem, epsilon, u, _residual(problem, epsilon, u, f_active))
-
-    return rhs
-
-
 def stopping_time(epsilon: float) -> float:
-    """Integration horizon matched to eps: the time where the flow iterate
+    """Flow horizon matched to eps: the time where the flow iterate
     is within ``g(0) * eps`` of the regularized root."""
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1) for a positive horizon")
@@ -96,8 +57,9 @@ class FlowResult:
 
     ``states[k]`` is the iterate at ``times[k]`` (row 0 is the initial
     point at t = 0); ``residuals[k]`` is the measured regularized residual
-    there, recomputed from the operator rather than from stepper
-    internals.
+    there, recomputed from the operator.  Over all checkpoints,
+    ``rhs_evals`` counts shifted solves (each the flow field at shifted
+    data), ``accepted`` Newton steps and ``rejected`` line-search halvings.
     """
 
     epsilon: float
@@ -107,33 +69,6 @@ class FlowResult:
     accepted: int
     rejected: int
     rhs_evals: int
-
-
-def _error_norm(delta: np.ndarray, y: np.ndarray, y_new: np.ndarray,
-                rtol: float, atol: float) -> float:
-    # an overflowing ratio just means certain rejection, so keep it quiet
-    with np.errstate(over="ignore", divide="ignore"):
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        return float(np.sqrt(np.mean((delta / scale) ** 2)))
-
-
-def _initial_step(rhs, y0, f0, t_end, rtol, atol):
-    # standard two-evaluation warm-up estimate for the first step size;
-    # absurdly tight tolerances overflow the scaled norms, which simply
-    # drives the estimate to its floor
-    with np.errstate(over="ignore", divide="ignore"):
-        scale = atol + rtol * np.abs(y0)
-        d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-        d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
-        h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-        y1 = y0 + h0 * f0
-        f1 = rhs(y1)
-        d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** _ORDER_EXP
-    return min(100 * h0, h1, t_end)
 
 
 def integrate_flow(
@@ -146,83 +81,60 @@ def integrate_flow(
     rtol: float = 1e-8,
     atol: float = 1e-10,
 ) -> FlowResult:
-    """Integrate the flow over [0, t_end], recording equispaced checkpoints.
+    """Evaluate the flow at equispaced checkpoints over [0, t_end].
 
     ``checkpoints`` counts the recording times after t = 0, so the result
     holds ``checkpoints + 1`` rows; it is an integer of at most
-    ``MAX_CHECKPOINTS``.  Steps never straddle a checkpoint:
-    the proposed step is shortened to hit it exactly.  A step size driven
-    below ``1e-14 * t_end`` raises :class:`NumericalFailure`.
+    ``MAX_CHECKPOINTS``.  The state at ``t_k`` solves ``F(u) = r_k`` with
+    ``r_k = exp(-t_k) F(u0)`` to ``|F(u) - r_k| <= rtol*|r_k| + atol``.
+    Missing that within 80 Newton steps, or a stalled line search, raises
+    :class:`NumericalFailure`.
     """
     if not (t_end > 0) or not np.isfinite(t_end):
         raise ValueError("t_end must be a positive finite real")
     checkpoints = _as_count(checkpoints, "checkpoints", cap=MAX_CHECKPOINTS)
     if not (0 < rtol < math.inf and 0 < atol < math.inf):
         raise ValueError("rtol and atol must be positive finite reals")
-    rhs = flow_field(problem, epsilon, f_override=f_override)
-    y = (
-        np.zeros(problem.dim)
-        if u0 is None
-        else as_vector(u0, problem.dim, "u0").copy()
+    if not (epsilon > 0) or not np.isfinite(epsilon):
+        raise ValueError("epsilon must be a positive finite real")
+    f_active = (
+        problem.data if f_override is None else as_vector(f_override, problem.dim, "f")
     )
+    u = np.zeros(problem.dim) if u0 is None else as_vector(u0, problem.dim, "u0").copy()
+    res0 = _residual(problem, epsilon, u, f_active)
     times = np.linspace(0.0, t_end, checkpoints + 1)
     states = np.empty((checkpoints + 1, problem.dim))
-    states[0] = y
-    next_ck = 1
-
-    k = np.empty((7, problem.dim))
-    k[0] = rhs(y)
-    evals = 1
-    h = _initial_step(rhs, y, k[0], t_end, rtol, atol)
-    evals += 1
-    accepted = rejected = 0
-    t = 0.0
-    h_floor = 1e-14 * t_end
-
-    while next_ck <= checkpoints:
-        if h < h_floor:
-            raise NumericalFailure(
-                f"flow step size underflow at t={t:.6g} (h={h:.3e})"
+    states[0] = u
+    steps = halvings = 0
+    for k in range(1, checkpoints + 1):
+        r = math.exp(-times[k]) * res0
+        tol = rtol * norm(r) + atol
+        try:
+            u, res_norm, iters, cuts = _damped_newton(
+                problem, epsilon, f_active + r, u, tol, NEWTON_CAP
             )
-        clamped = False
-        if t + h >= times[next_ck]:
-            h_use = times[next_ck] - t
-            clamped = True
-        else:
-            h_use = h
-        for i in range(1, 7):
-            k[i] = rhs(y + h_use * (_A[i - 1] @ k[:i]))
-        evals += 6
-        y_new = y + h_use * (_B5 @ k)
-        err = _error_norm(h_use * (_E @ k), y, y_new, rtol, atol)
-        if err <= 1.0:
-            accepted += 1
-            t = times[next_ck] if clamped else t + h_use
-            y = y_new
-            k[0] = k[6]  # first stage of the next step is the last of this one
-            if clamped:
-                states[next_ck] = y
-                next_ck += 1
-            factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** -_ORDER_EXP
-            h = h_use * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        else:
-            rejected += 1
-            h = h_use * max(_MIN_FACTOR, _SAFETY * err ** -_ORDER_EXP)
+        except NumericalFailure as exc:
+            raise NumericalFailure(f"flow at t={times[k]:.6g}: {exc}") from exc
+        if res_norm > tol:
+            raise NumericalFailure(
+                f"flow: Newton missed the tolerance {tol:.3e} at eps={epsilon:.3e}, "
+                f"t={times[k]:.6g} within {NEWTON_CAP} steps, residual {res_norm:.3e}"
+            )
+        states[k] = u
+        steps += iters
+        halvings += cuts
 
     residuals = np.array(
-        [
-            residual_value(problem, epsilon, states[i], f_override=f_override)
-            for i in range(checkpoints + 1)
-        ]
+        [residual_value(problem, epsilon, u, f_override=f_override) for u in states]
     )
     return FlowResult(
         epsilon=float(epsilon),
         times=times,
         states=states,
         residuals=residuals,
-        accepted=accepted,
-        rejected=rejected,
-        rhs_evals=evals,
+        accepted=steps,
+        rejected=halvings,
+        rhs_evals=steps,
     )
 
 
@@ -243,7 +155,7 @@ def solve_to_stopping(
     rtol: float = 1e-8,
     atol: float = 1e-10,
 ) -> StoppingResult:
-    """Integrate the flow, on ``f_override`` if given, up to t = stopping_time(epsilon).
+    """Run the flow, on ``f_override`` if given, up to t = stopping_time(epsilon).
 
     At that horizon the iterate sits within ``g(0) * epsilon`` of the
     regularized root, so pairing this with a decreasing epsilon sequence

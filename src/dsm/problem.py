@@ -48,7 +48,7 @@ def inner(u: np.ndarray, v: np.ndarray) -> float:
 def norm(u: np.ndarray) -> float:
     """Euclidean norm: ``np.linalg.norm``'s own ``ord=None`` sum, without its dispatch."""
     x = np.asarray(u, dtype=float).ravel(order="K")
-    return math.sqrt(x.dot(x))
+    return math.sqrt(np.vdot(x, x))  # dot's bits, but inf past the float range, not a warning
 
 
 def _integral(value) -> bool:

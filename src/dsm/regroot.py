@@ -2,13 +2,13 @@
 
 For monotone B and eps > 0 the regularized equation has exactly one
 solution, and as eps decreases those roots converge to the minimal-norm
-solution of B(u) = f.  This module holds the regularized residual and its
-shifted Newton direction, which the flow and the iteration step along too,
-computes the roots by damped Newton along that direction, walks
-regularization paths with warm starts, and provides minimal-norm ground
-truth for problems that admit an oracle.  All quantitative bound checks in
-the test suite lean on these roots, so the Newton tolerance defaults tight:
-``1e-12 * (1 + |f|)``.
+solution of B(u) = f.  This module holds the regularized residual, its
+shifted Newton direction, which the iteration steps along too, and the
+damped Newton loop along it, which computes the roots and the flow's
+checkpoints.  It walks regularization paths with warm starts and provides
+minimal-norm ground truth for problems that admit an oracle.  All
+quantitative bound checks in the test suite lean on these roots, so the
+Newton tolerance defaults tight: ``1e-12 * (1 + |f|)``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .problem import (
     ProblemInstance,
     apply_operator,
     as_vector,
-    inner,
     jacobian,
     norm,
 )
@@ -42,6 +41,7 @@ __all__ = [
 
 # line-search floor: below this damping factor the model is not decreasing
 MIN_DAMPING = 2.0 ** -30
+NEWTON_CAP = 80  # Newton steps per solve: one root, or one flow checkpoint
 
 
 def default_newton_tol(f_active: np.ndarray) -> float:
@@ -76,22 +76,58 @@ class RegRoot:
     converged: bool = True
 
 
+def _damped_newton(
+    problem: ProblemInstance,
+    epsilon: float,
+    f: np.ndarray,
+    v: np.ndarray,
+    tol: float,
+    max_iters: int,
+) -> tuple[np.ndarray, float, int, int]:
+    """Damped Newton on B(v) + eps*v = f from ``v`` until ``|F(v)| <= tol``
+    or ``max_iters`` steps; returns ``(v, |F(v)|, steps, halvings)``.
+
+    Each step takes the shifted Newton direction ``d`` of the residual
+    ``F`` and halves ``lam`` until ``|F(v - lam*d)| <= (1 - 0.25*lam) |F(v)|``;
+    a stalled line search raises :class:`NumericalFailure`.
+    """
+    res = _residual(problem, epsilon, v, f)
+    res_norm = norm(res)
+    iters = halvings = 0
+    while res_norm > tol and iters < max_iters:
+        d = _newton_direction(problem, epsilon, v, res)
+        lam = 1.0
+        while True:
+            trial = v - lam * d
+            trial_res = _residual(problem, epsilon, trial, f)
+            trial_norm = norm(trial_res)
+            if trial_norm <= (1.0 - 0.25 * lam) * res_norm:
+                break
+            lam *= 0.5
+            halvings += 1
+            if lam < MIN_DAMPING:
+                raise NumericalFailure(
+                    f"regroot: Newton line search stalled at eps={epsilon:.3e}, "
+                    f"iteration {iters}, residual {res_norm:.3e}"
+                )
+        v, res, res_norm = trial, trial_res, trial_norm
+        iters += 1
+    return v, res_norm, iters, halvings
+
+
 def solve_regularized(
     problem: ProblemInstance,
     epsilon: float,
     f_override=None,
     init=None,
     newton_tol: float | None = None,
-    max_iters: int = 80,
+    max_iters: int = NEWTON_CAP,
 ) -> RegRoot:
     """Damped Newton for B(v) + eps*v = f (or an overriding right-hand side).
 
-    Each step takes the shifted Newton direction ``d`` of the residual
-    ``F`` and backtracks by halving until the sufficient-decrease test
-    ``|F(v - lam*d)| <= (1 - 0.25*lam) |F(v)|`` holds.  A given
-    ``newton_tol`` must be a positive finite real.  A stalled line search
-    raises :class:`NumericalFailure`; exceeding ``max_iters`` returns the
-    best iterate flagged as unconverged.
+    A given ``newton_tol`` must be a positive finite real.  A stalled line
+    search raises :class:`NumericalFailure`; exceeding ``max_iters``
+    returns the best iterate flagged as unconverged.
     """
     if not (epsilon > 0) or not np.isfinite(epsilon):
         raise ValueError("epsilon must be a positive finite real")
@@ -103,26 +139,7 @@ def solve_regularized(
     elif not (0.0 < newton_tol < math.inf):
         raise ValueError("newton_tol must be a positive finite real")
     v = np.zeros(problem.dim) if init is None else as_vector(init, problem.dim, "init").copy()
-    res = _residual(problem, epsilon, v, f_active)
-    res_norm = norm(res)
-    iters = 0
-    while res_norm > newton_tol and iters < max_iters:
-        d = _newton_direction(problem, epsilon, v, res)
-        lam = 1.0
-        while True:
-            trial = v - lam * d
-            trial_res = _residual(problem, epsilon, trial, f_active)
-            trial_norm = norm(trial_res)
-            if trial_norm <= (1.0 - 0.25 * lam) * res_norm:
-                break
-            lam *= 0.5
-            if lam < MIN_DAMPING:
-                raise NumericalFailure(
-                    f"regroot: Newton line search stalled at eps={epsilon:.3e}, "
-                    f"iteration {iters}, residual {res_norm:.3e}"
-                )
-        v, res, res_norm = trial, trial_res, trial_norm
-        iters += 1
+    v, res_norm, iters, _ = _damped_newton(problem, epsilon, f_active, v, newton_tol, max_iters)
     return RegRoot(
         epsilon=float(epsilon),
         v=v,

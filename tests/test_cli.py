@@ -50,6 +50,24 @@ class TestRunExperiment:
                 assert row["pass"] == (row["observed"] <= row["bound"]), row
                 assert row["margin"] == row["bound"] - row["observed"], row
 
+    # past the stopping time the recorded residuals still follow the decay law
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            {"corpus": "cubic-monotone"},
+            {"corpus": "psd-singular-linear", "dim": 200},
+            {"corpus": "random-monotone", "dim": 50},
+            {"corpus": "hilbert-psd"},
+        ],
+        ids=lambda p: p["corpus"],
+    )
+    def test_flow_holds_the_decay_law_at_t_end_20(self, tmp_path, problem):
+        cfg = {"kind": "flow", "problem": problem, "epsilon": 0.01, "t_end": 20}
+        report = run_experiment(cfg, tmp_path)
+        decay = next(c for c in report["runs"][0]["checks"] if c["check"] == "residual-decay")
+        assert decay["pass"], decay
+        assert report["checks_pass"]
+
     def test_report_is_byte_reproducible(self, tmp_path):
         cfg = load_config("flow.json")
         run_experiment(dict(cfg), tmp_path / "a")

@@ -5,13 +5,15 @@ import pytest
 
 from dsm import (
     NumericalFailure,
+    ProblemInstance,
     add_noise,
+    apply_operator,
     default_newton_tol,
-    flow_field,
     integrate_flow,
     jacobian,
     minimal_norm_solution,
     norm,
+    regroot,
     residual_value,
     solve_noisy_to_stopping,
     solve_regularized,
@@ -40,30 +42,73 @@ class TestStoppingTime:
                 stopping_time(eps)
 
 
-class TestFlowField:
-    def test_identity_hand_value(self):
-        # operator u, zero data, eps 1: field is -(2I)^-1 (2u) = -u
-        p = identity_problem(2)
-        rhs = flow_field(p, 1.0)
-        np.testing.assert_allclose(rhs(np.array([1.0, 0.0])), [-1.0, 0.0], atol=1e-12)
+class TestHomotopyLaw:
+    """Each checkpoint solves F(u) = exp(-t) F(u0), F(u) = B(u) + eps*u - f."""
 
-    def test_linear_field_points_at_regularized_root(self, rank_deficient_linear):
+    def test_identity_hand_value(self):
+        # operator u, zero data, eps 1: F(u) = 2u, so u(t) = exp(-t) u0
+        p = identity_problem(2)
+        u0 = np.array([1.0, -2.0])
+        traj = integrate_flow(p, 1.0, 2.0, checkpoints=4, u0=u0)
+        for t, u in zip(traj.times, traj.states):
+            np.testing.assert_allclose(u, math.exp(-t) * u0, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("rtol, atol", [(1e-8, 1e-10), (1e-5, 1e-7)])
+    def test_vector_law_on_corpus(self, all_problems, rtol, atol):
+        def F(p, u):
+            return apply_operator(p, u) + eps * u - p.data
+
+        eps = 1e-2
+        for p in all_problems:
+            traj = integrate_flow(p, eps, 5.0, rtol=rtol, atol=atol)
+            res0 = F(p, traj.states[0])
+            for t, u in zip(traj.times[1:], traj.states[1:]):
+                r = math.exp(-t) * res0
+                assert norm(F(p, u) - r) <= rtol * norm(r) + atol, (p.name, t)
+
+    def test_linear_flow_closes_on_the_root_from_random_starts(self, rank_deficient_linear):
+        # on a linear problem u(t) = V_eps + exp(-t) (u0 - V_eps) exactly
         p = rank_deficient_linear
         eps = 1e-2
-        rhs = flow_field(p, eps)
         root = solve_regularized(p, eps)
         rng = np.random.default_rng(3)
         for _ in range(5):
-            u = rng.standard_normal(p.dim)
-            assert norm(rhs(u) + (u - root.v)) <= 1e-10 * (1 + norm(u))
+            u0 = rng.standard_normal(p.dim)
+            traj = integrate_flow(p, eps, 3.0, checkpoints=3, u0=u0)
+            for t, u in zip(traj.times, traj.states):
+                expected = root.v + math.exp(-t) * (u0 - root.v)
+                assert norm(u - expected) <= 1e-10 * (1 + norm(u0))
 
     def test_equilibrium_at_regularized_root(self, all_problems):
+        # started at V_eps the flow does not move, and takes no Newton step
         for p in all_problems:
             eps = 1e-2
             root = solve_regularized(p, eps)
-            rhs = flow_field(p, eps)
+            traj = integrate_flow(p, eps, 5.0, u0=root.v)
             tol = 10.0 * default_newton_tol(p.data) / eps
-            assert norm(rhs(root.v)) <= tol
+            assert max(norm(u - root.v) for u in traj.states) <= tol
+            assert traj.rhs_evals == 0
+
+    @pytest.mark.parametrize(
+        "f, match", [([1.0], "length 1, expected 10"), ([math.nan] * 10, "non-finite")],
+        ids=["short", "nan"],
+    )
+    def test_bad_override_rejected(self, cubic, f, match):
+        with pytest.raises(ValueError, match=match):
+            integrate_flow(cubic, 0.1, 1.0, f_override=f)
+
+    def test_counts_are_shifted_solves_steps_and_halvings(self, cubic, monkeypatch):
+        solves = []
+        real = regroot.reg_solve
+        monkeypatch.setattr(regroot, "reg_solve", lambda *a: solves.append(1) or real(*a))
+        traj = integrate_flow(cubic, 1e-2, 5.0)
+        assert traj.rhs_evals == traj.accepted == len(solves) > 0
+        assert traj.rejected > 0  # the first checkpoint's line search halves
+
+    def test_cost_does_not_grow_with_the_horizon(self, cubic):
+        short = integrate_flow(cubic, 1e-2, 5.0)
+        long = integrate_flow(cubic, 1e-2, 100.0)
+        assert long.rhs_evals <= short.rhs_evals
 
 
 class TestResidualValue:
@@ -72,7 +117,7 @@ class TestResidualValue:
         ids=["short", "nan"],
     )
     def test_bad_override_rejected(self, cubic, f, match):
-        # the override is checked as flow_field checks it, not broadcast or passed on
+        # the override is checked as integrate_flow checks it, not broadcast or passed on
         with pytest.raises(ValueError, match=match):
             residual_value(cubic, 0.1, np.zeros(cubic.dim), f_override=f)
 
@@ -183,8 +228,37 @@ class TestIntegrateFlow:
         assert traj.times.tolist() == [0.0, 0.5, 1.0]
 
     def test_impossible_tolerance_fails_numerically(self, cubic):
-        with pytest.raises(NumericalFailure):
+        with pytest.raises(NumericalFailure, match=r"^flow at t=0\.1: .*eps=1\.000e-02.*residual "):
             integrate_flow(cubic, 1e-2, 1.0, rtol=1e-300, atol=1e-320)
+
+    def test_newton_cap_names_flow_eps_time_and_residual(self):
+        # a Jacobian six times too large: each step cuts F by 5/7 only, so
+        # rtol 1e-14 needs about 96 steps, past the cap of 80
+        p = ProblemInstance(
+            dim=1, operator=lambda u: u.copy(), data=[0.0],
+            jacobian=lambda u: np.array([[6.0]]), is_linear=True,
+        )
+        with pytest.raises(
+            NumericalFailure,
+            match=r"^flow: Newton missed the tolerance .* at eps=1\.000e\+00, t=1 within 80 steps, residual ",
+        ):
+            integrate_flow(p, 1.0, 1.0, checkpoints=1, u0=[1.0], rtol=1e-14, atol=1e-300)
+
+    def test_stalled_line_search_names_flow_and_time(self):
+        # the Jacobian is right once, then has the wrong sign (as in the root's test)
+        calls = []
+
+        def jac(u):
+            calls.append(None)
+            return np.diag(1.0 + 3.0 * u**2) * (1.0 if len(calls) == 1 else -0.5)
+
+        p = ProblemInstance(dim=1, operator=lambda u: u + u**3, data=[1.0], jacobian=jac)
+        with pytest.raises(
+            NumericalFailure,
+            match=r"^flow at t=1: regroot: Newton line search stalled at eps=1\.000e-01, "
+            r"iteration 1, residual ",
+        ):
+            integrate_flow(p, 0.1, 1.0, checkpoints=1)
 
 
 class TestSolveToStopping:

@@ -74,6 +74,16 @@ class TestRegSolveContracts:
         rep = reg_solve(a, 1e-10, b)
         assert rep.residual_norm <= 1e-10 * (1 + np.linalg.norm(b))
 
+    def test_overflowing_residual_fails_numerically(self):
+        # a pivot of 1e-180 gives a finite solution near 1e180 whose residual
+        # squares past the float range: a NumericalFailure, not an overflow warning
+        d = 1e-12
+        a = np.array(
+            [[2.0, -d, -d, -d], [-d, -d, -d, -d], [-d, -d, -d, -d], [1e-180, 0.0, 0.0, -d]]
+        )
+        with pytest.raises(NumericalFailure, match=r"working precision \(residual inf"):
+            reg_solve(a, 1e-12, np.ones(4))
+
     def test_exactly_singular_shift_raises_numerical_failure(self):
         # A = -eps I makes the shifted matrix zero, so LU finds no pivot
         with pytest.raises(NumericalFailure, match="singular"):

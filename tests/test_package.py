@@ -16,7 +16,7 @@ PUBLIC = {
     "RegSolveReport", "Schedule", "StepBoundRecord", "StepRule", "StoppingResult",
     "TaylorReport", "__version__", "add_noise", "apply_operator", "as_matrix", "as_vector",
     "check_bound_chain", "check_monotonicity", "corpus_names", "default_newton_tol",
-    "describe_problem", "emit_table", "exponential_majorant", "flow_field",
+    "describe_problem", "emit_table", "exponential_majorant",
     "geometric_weighted_sum", "horizon_diagnostics", "inner", "integrate_flow",
     "iterate_step", "jacobian", "main", "make_cubic_monotone", "make_hilbert_psd",
     "make_problem", "make_psd_singular_linear", "make_random_monotone",
@@ -39,7 +39,7 @@ def _python(*args):
 
 
 def test_public_names_are_unchanged():
-    assert len(dsm.__all__) == len(PUBLIC) == 61
+    assert len(dsm.__all__) == len(PUBLIC) == 60
     assert set(dsm.__all__) == PUBLIC
     for name in dsm.__all__:
         assert getattr(dsm, name) is not None, name

@@ -56,6 +56,10 @@ class TestVectorBasics:
         assert norm(np.zeros(4)) == 0.0
         assert norm(np.array([0.0, 1e-150])) > 0.0
 
+    def test_norm_past_the_float_range_is_inf_without_a_warning(self):
+        # reg_solve's residual contract relies on it: inf fails the tolerance
+        assert norm(np.array([1e200, -1e200])) == np.inf
+
     @given(finite_vectors)
     def test_norm_is_sqrt_of_self_pairing(self, entries):
         v = np.asarray(entries)
