@@ -24,12 +24,23 @@ from __future__ import annotations
 
 import hashlib
 import inspect
-import math
 
 import numpy as np
 
 from .linsolve import MAX_DIM
-from .problem import ProblemInstance, _as_count, _rng, as_matrix, jacobian, norm
+from .problem import (
+    OPTIONAL,
+    REQUIRED,
+    ProblemInstance,
+    _as_count,
+    _parse,
+    _positive,
+    _rng,
+    as_matrix,
+    as_vector,
+    jacobian,
+    norm,
+)
 
 __all__ = [
     "corpus_names",
@@ -115,8 +126,7 @@ def make_cubic_monotone(
     that radius, which contains every iterate the suite produces.
     """
     dim = _check_dim(dim, 3)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    radius = _positive(radius, "radius")
     rng = _rng(seed)
     g = rng.standard_normal((dim - 2, dim)) / np.sqrt(dim)
     m = g.T @ g
@@ -174,7 +184,7 @@ def make_problem(name: str, **kwargs) -> ProblemInstance:
 
     An option the factory does not take raises ``ValueError``.
     """
-    if name not in _FACTORIES:
+    if not isinstance(name, str) or name not in _FACTORIES:
         raise ValueError(f"unknown corpus problem {name!r}; choose from {sorted(_FACTORIES)}")
     factory = _FACTORIES[name]
     takes = inspect.signature(factory).parameters
@@ -190,9 +200,10 @@ def add_noise(f: np.ndarray, delta: float, seed: int) -> np.ndarray:
     The direction is an isotropic draw normalized to unit length, so
     ``|f_noisy - f| = delta`` up to roundoff.  A zero draw is redrawn.
     """
-    f = np.asarray(f, dtype=float)
-    if not (delta > 0) or not np.isfinite(delta):
-        raise ValueError("delta must be a positive finite real")
+    f = as_vector(f, name="f")
+    if f.size == 0:  # its only draw is zero, redrawn forever
+        raise ValueError("f must be non-empty")
+    delta = _positive(delta, "delta")
     eta = _rng(seed).standard_normal(f.shape)
     while norm(eta) == 0.0:  # astronomically improbable; re-draw deterministically
         seed += 1
@@ -200,79 +211,9 @@ def add_noise(f: np.ndarray, delta: float, seed: int) -> np.ndarray:
     return f + delta * (eta / norm(eta))
 
 
-REQUIRED = object()  # field-table default: the key must be given
-OPTIONAL = object()  # field-table default: an absent key stays absent
-_EXPECTED = {int: "an integer", float: "a number", bool: "true or false",
-             str: "a string", dict: "a mapping", None: "null"}
-
-
-def _parse(spec: dict, fields: dict, where: str) -> dict:
-    """Coerce the mapping ``spec`` by a field table ``{key: (type, default)}``.
-
-    A row may add a cap, ``(type, default, cap)``.  Unknown keys are
-    rejected, a ``REQUIRED`` key must be given, an absent ``OPTIONAL``
-    key stays absent, and any other default fills an absent key.
-    """
-    unknown = [key for key in spec if key not in fields]
-    if unknown:
-        raise ValueError(f"unknown {where} options {unknown}")
-    out = {}
-    for key, (kind, default, *cap) in fields.items():
-        if key in spec:
-            out[key] = _coerce(spec[key], kind, f"{where} {key}", *cap)
-        elif default is REQUIRED:
-            raise ValueError(f"{where} needs {key!r}")
-        elif default is not OPTIONAL:
-            out[key] = default
-    return out
-
-
-def _coerce(value, kind, name: str, cap=None):
-    """Coerce one configuration value to ``kind`` without loss.
-
-    ``kind`` is ``int`` or ``float`` (at most ``cap``), ``bool``, ``str``,
-    ``dict`` (any mapping), ``[t]`` (a list of ``t``), a variant table
-    ``{kind: (constructor, fields)}`` (a mapping whose ``"kind"`` picks
-    the field table of the rest), or a tuple of these and ``None`` (null).
-    A number is finite (Infinity and NaN are not numbers), a bool is not
-    a number, a non-integral number is not an int, and only true and
-    false are bools.  Anything else raises ``ValueError``, before
-    anything sized by the value is allocated.
-    """
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    number = not isinstance(value, bool) and (
-        isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
-    )
-    for k in kinds:
-        if value is None and k is None or k in (bool, str, dict) and isinstance(value, k):
-            return value
-        if (k is int or k is float) and number:
-            if k is int and isinstance(value, float) and not value.is_integer():
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if cap is not None and value > cap:
-                raise ValueError(f"{name} must be at most {cap}, got {value!r}")
-            try:
-                return k(value)
-            except OverflowError:  # an int beyond the float range
-                raise ValueError(f"{name} is out of range, got {value!r}") from None
-        if isinstance(k, list) and isinstance(value, list):
-            return [_coerce(v, k[0], f"{name} entry") for v in value]
-        if isinstance(k, dict) and isinstance(value, dict):
-            variant = value.get("kind")
-            if not isinstance(variant, str) or variant not in k:
-                raise ValueError(f"{name} kind must be one of {list(k)}, got {variant!r}")
-            rest = {key: v for key, v in value.items() if key != "kind"}
-            return {"kind": variant, **_parse(rest, k[variant][1], f"{name} {variant!r}")}
-    expected = " or ".join(
-        "a list" if isinstance(k, list) else "a mapping with a 'kind'"
-        if isinstance(k, dict) else _EXPECTED[k] for k in kinds
-    )
-    raise ValueError(f"{name} must be {expected}, got {value!r}")
-
-
 _CORPUS_FIELDS = {
     "corpus": (str, REQUIRED),
-    "dim": (int, OPTIONAL, MAX_DIM),
+    "dim": (int, OPTIONAL),
     "seed": (int, OPTIONAL),
     "radius": (float, OPTIONAL),
 }

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import NumericalFailure, ProblemInstance, _as_count, as_vector, norm
+from .problem import NumericalFailure, ProblemInstance, _as_count, _positive, as_vector, norm
 from .regroot import NEWTON_CAP, _damped_newton, _residual
 
 __all__ = [
@@ -39,6 +39,7 @@ def residual_value(
     problem: ProblemInstance, epsilon: float, u: np.ndarray, f_override=None
 ) -> float:
     """Regularized residual norm |B(u) + eps*u - f| at a single point."""
+    epsilon = _positive(epsilon, "epsilon")
     f_active = problem.data if f_override is None else as_vector(f_override, problem.dim, "f")
     return norm(_residual(problem, epsilon, u, f_active))
 
@@ -46,8 +47,9 @@ def residual_value(
 def stopping_time(epsilon: float) -> float:
     """Flow horizon matched to eps: the time where the flow iterate
     is within ``g(0) * eps`` of the regularized root."""
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must lie in (0, 1) for a positive horizon")
+    epsilon = _positive(epsilon, "epsilon")
+    if not epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1) for a positive horizon, got {epsilon!r}")
     return -2.0 * math.log(epsilon)
 
 
@@ -90,13 +92,10 @@ def integrate_flow(
     Missing that within 80 Newton steps, or a stalled line search, raises
     :class:`NumericalFailure`.
     """
-    if not (t_end > 0) or not np.isfinite(t_end):
-        raise ValueError("t_end must be a positive finite real")
+    t_end = _positive(t_end, "t_end")
     checkpoints = _as_count(checkpoints, "checkpoints", cap=MAX_CHECKPOINTS)
-    if not (0 < rtol < math.inf and 0 < atol < math.inf):
-        raise ValueError("rtol and atol must be positive finite reals")
-    if not (epsilon > 0) or not np.isfinite(epsilon):
-        raise ValueError("epsilon must be a positive finite real")
+    rtol, atol = (_positive(tol, "each of rtol and atol") for tol in (rtol, atol))
+    epsilon = _positive(epsilon, "epsilon")
     f_active = (
         problem.data if f_override is None else as_vector(f_override, problem.dim, "f")
     )
@@ -128,7 +127,7 @@ def integrate_flow(
         [residual_value(problem, epsilon, u, f_override=f_override) for u in states]
     )
     return FlowResult(
-        epsilon=float(epsilon),
+        epsilon=epsilon,
         times=times,
         states=states,
         residuals=residuals,
@@ -192,10 +191,13 @@ def solve_noisy_to_stopping(
     noisy root scales like delta/eps -> 0 while eps -> 0 sends that root
     to the minimal-norm solution.
     """
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    if not (0.0 < b_exp < 1.0):
-        raise ValueError("b_exp must lie in (0, 1)")
+    f_noisy = as_vector(f_noisy, problem.dim, "f_noisy")
+    delta = _positive(delta, "delta")
+    if not delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    b_exp = _positive(b_exp, "b_exp")
+    if not b_exp < 1.0:
+        raise ValueError(f"b_exp must lie in (0, 1), got {b_exp!r}")
     eps = delta**b_exp
     res = solve_to_stopping(
         problem, eps, checkpoints=checkpoints, f_override=f_noisy, rtol=rtol, atol=atol

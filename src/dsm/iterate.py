@@ -22,7 +22,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .problem import NumericalFailure, ProblemInstance, _as_count, as_vector, norm
+from .problem import (
+    NumericalFailure,
+    ProblemInstance,
+    _as_count,
+    _coerce,
+    _positive,
+    as_vector,
+    norm,
+)
 from .regroot import RegRoot, _newton_direction, _residual, solve_regularized
 
 __all__ = [
@@ -37,15 +45,16 @@ __all__ = [
     "verify_step_recursion",
 ]
 
+MAX_STEPS = 10_000  # run_iteration keeps every iterate and root it visits
 _MAX_FP_EVALS = 100
 _FP_RTOL = 1e-10
 _TINY = 1e-300  # floor of a denominator that may be zero
 
 
 def _check_h(h: float) -> float:
-    h = float(h)
-    if not (0.0 < h <= 1.0) or not np.isfinite(h):
-        raise ValueError("step size h must lie in (0, 1]")
+    h = _positive(h, "step size h")
+    if not h <= 1.0:
+        raise ValueError(f"step size h must lie in (0, 1], got {h!r}")
     return h
 
 
@@ -64,27 +73,27 @@ class StepRule:
         if (self.h_constant is None) == (self.h_list is None):
             raise ValueError("exactly one of h_constant and h_list must be set")
         if self.h_constant is not None:
-            _check_h(self.h_constant)
+            object.__setattr__(self, "h_constant", _check_h(self.h_constant))
         else:
-            if len(self.h_list) == 0:
-                raise ValueError("explicit step list must be non-empty")
-            for h in self.h_list:
-                _check_h(h)
+            if np.ndim(self.h_list) != 1 or len(self.h_list) == 0:
+                raise ValueError(f"explicit step list must be non-empty, got {self.h_list!r}")
+            object.__setattr__(self, "h_list", tuple(_check_h(h) for h in self.h_list))
 
     @classmethod
     def constant_p(cls, p: float) -> "StepRule":
-        if not (1.0 < p <= math.sqrt(math.e)):
-            raise ValueError("contraction ratio p must lie in (1, sqrt(e)]")
+        p = _positive(p, "contraction ratio p")
+        if not 1.0 < p <= math.sqrt(math.e):
+            raise ValueError(f"contraction ratio p must lie in (1, sqrt(e)], got {p!r}")
         # p = sqrt(e) means h = 1 exactly; clamp the log round-trip
         return cls(h_constant=min(2.0 * math.log(p), 1.0))
 
     @classmethod
     def constant_h(cls, h: float) -> "StepRule":
-        return cls(h_constant=float(h))
+        return cls(h_constant=h)
 
     @classmethod
     def explicit(cls, hs: Sequence[float]) -> "StepRule":
-        return cls(h_list=tuple(float(h) for h in hs))
+        return cls(h_list=hs)
 
     def h_at(self, n: int) -> float:
         if self.h_constant is not None:
@@ -120,29 +129,29 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in ("constant", "geometric", "oracle"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not (self.floor >= 0.0) or not np.isfinite(self.floor):
-            raise ValueError("floor must be a finite non-negative real")
+        object.__setattr__(self, "floor", _coerce(self.floor, float, "floor"))
+        if not self.floor >= 0.0:
+            raise ValueError(f"floor must be a finite non-negative real, got {self.floor!r}")
         if self.kind == "constant":
-            if self.epsilon is None or not (self.epsilon > 0) or not np.isfinite(self.epsilon):
-                raise ValueError("constant schedule needs a positive finite epsilon")
+            object.__setattr__(self, "epsilon", _positive(self.epsilon, "epsilon"))
         if self.kind == "geometric":
-            if self.eps0 is None or not (self.eps0 > 0) or not np.isfinite(self.eps0):
-                raise ValueError("geometric schedule needs a positive finite eps0")
-            if self.ratio is None or not (0.0 < self.ratio < 1.0):
-                raise ValueError("geometric schedule needs a ratio in (0, 1)")
+            object.__setattr__(self, "eps0", _positive(self.eps0, "eps0"))
+            object.__setattr__(self, "ratio", _positive(self.ratio, "ratio"))
+            if not self.ratio < 1.0:
+                raise ValueError(f"geometric schedule needs a ratio in (0, 1), got {self.ratio!r}")
 
     @classmethod
     def constant(cls, epsilon: float) -> "Schedule":
-        return cls(kind="constant", epsilon=float(epsilon))
+        return cls(kind="constant", epsilon=epsilon)
 
     @classmethod
     def geometric(cls, eps0: float, ratio: float, floor: float = 0.0) -> "Schedule":
-        return cls(kind="geometric", eps0=float(eps0), ratio=float(ratio), floor=float(floor))
+        return cls(kind="geometric", eps0=eps0, ratio=ratio, floor=floor)
 
     @classmethod
     def oracle(cls, floor: float = 0.0) -> "Schedule":
         """The oracle schedule eps_n = 2 c g_n; needs root solves per step."""
-        return cls(kind="oracle", floor=float(floor))
+        return cls(kind="oracle", floor=floor)
 
 
 @dataclass(frozen=True)
@@ -188,9 +197,8 @@ def iterate_step(
     h_n: float,
 ) -> np.ndarray:
     """One damped regularized Newton step from u_n."""
-    if not (eps_n > 0) or not np.isfinite(eps_n):
-        raise ValueError("eps_n must be a positive finite real")
-    _check_h(h_n)
+    eps_n = _positive(eps_n, "eps_n")
+    h_n = _check_h(h_n)
     u_n = as_vector(u_n, problem.dim, "u_n")
     res = _residual(problem, eps_n, u_n, problem.data)
     return u_n - h_n * _newton_direction(problem, eps_n, u_n, res)
@@ -293,13 +301,15 @@ def run_iteration(
     The history records one row per visited iterate, schedule included,
     so gap sequences line up with the step bounds.  Roots are tracked
     automatically under the oracle schedule and on request otherwise.
-    The default stopping residual is ``1e-10 * (1 + |f|)``.
+    ``max_n`` is an integer of at most ``MAX_STEPS``.  The default
+    stopping residual is ``1e-10 * (1 + |f|)``.
     """
-    max_n = _as_count(max_n, "max_n")
+    max_n = _as_count(max_n, "max_n", cap=MAX_STEPS)
     if steps.limit is not None and steps.limit < max_n:
         raise ValueError(
             f"explicit step rule supplies {steps.limit} steps but max_n={max_n}"
         )
+    stop_residual = _coerce(stop_residual, (float, None), "stop_residual")
     if stop_residual is None:
         stop_residual = 1e-10 * (1.0 + norm(problem.data))
     track = record_roots or schedule.kind == "oracle"
@@ -399,8 +409,9 @@ def verify_step_recursion(
         raise ValueError("recursion check needs at least one completed step")
     if history.steps[0].gap is None or history.steps[0].root_gap is None:
         raise ValueError("recursion check needs a run with recorded roots")
-    if not (0.0 <= slack < math.inf):
-        raise ValueError("slack must be a finite non-negative real")
+    slack = _coerce(slack, float, "slack")
+    if not slack >= 0.0:
+        raise ValueError(f"slack must be a finite non-negative real, got {slack!r}")
     c = 0.5 * float(problem.m2_bound) if problem.m2_bound is not None else 0.0
     records: list[StepBoundRecord] = []
     for cur, nxt in zip(history.steps, history.steps[1:]):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import NumericalFailure, as_matrix, as_vector, norm
+from .problem import NumericalFailure, _positive, as_matrix, as_vector, norm
 
 __all__ = ["RegSolveReport", "reg_solve", "MAX_DIM"]
 
@@ -50,8 +50,7 @@ def reg_solve(a, epsilon: float, b) -> RegSolveReport:
         above the contract raises :class:`NumericalFailure` (the shift was
         too small for the conditioning, or the symmetric part is not PSD).
     """
-    if not (epsilon > 0) or not np.isfinite(epsilon):
-        raise ValueError("epsilon must be a positive finite real")
+    epsilon = _positive(epsilon, "epsilon")
     a = as_matrix(a, name="A")
     n = a.shape[0]
     if n > MAX_DIM:
@@ -76,4 +75,4 @@ def reg_solve(a, epsilon: float, b) -> RegSolveReport:
             f"(residual {res_norm:.3e} > tolerance {tol:.3e}); "
             "the shift may be too small for the conditioning"
         )
-    return RegSolveReport(solution=x, residual_norm=res_norm, epsilon=float(epsilon))
+    return RegSolveReport(solution=x, residual_norm=res_norm, epsilon=epsilon)

@@ -6,7 +6,9 @@ numpy arrays, operator derivatives are dense square matrices.  A
 whatever ground truth is available (analytic Jacobian, known minimal-norm
 solution, a second-derivative bound on a working ball), and this module holds
 the numerical certificates for the standing assumptions: monotonicity of B
-and control of the second-order Taylor remainder.
+and control of the second-order Taylor remainder.  Every layer checks its
+inputs by the one coercion rule here, :func:`_coerce`, which the config
+field tables use too.
 """
 
 from __future__ import annotations
@@ -41,39 +43,125 @@ class NumericalFailure(RuntimeError):
 
 
 def inner(u: np.ndarray, v: np.ndarray) -> float:
-    """Euclidean inner product."""
-    return float(np.dot(u, v))
+    """Euclidean inner product of two finite vectors."""
+    return float(np.dot(as_vector(u, name="u"), as_vector(v, name="v")))
 
 
 def norm(u: np.ndarray) -> float:
     """Euclidean norm: ``np.linalg.norm``'s own ``ord=None`` sum, without its dispatch."""
-    x = np.asarray(u, dtype=float).ravel(order="K")
+    try:
+        x = np.asarray(u, dtype=float).ravel(order="K")
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"norm needs an array of numbers: {exc}") from None
     return math.sqrt(np.vdot(x, x))  # dot's bits, but inf past the float range, not a warning
 
 
-def _integral(value) -> bool:
-    """Numpy integers and integral floats are integers here; bools are not."""
-    return not isinstance(value, bool) and (
-        isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()))
+REQUIRED = object()  # field-table default: the key must be given
+OPTIONAL = object()  # field-table default: an absent key stays absent
+_EXPECTED = {int: "an integer", float: "a number", bool: "true or false",
+             str: "a string", dict: "a mapping", None: "null"}
+
+
+def _number(value, integral: bool = False) -> bool:
+    """A finite real that is not a bool, an int of any size included; integral if asked."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return isinstance(value, numbers.Integral) or math.isfinite(value) and (
+        not integral or float(value).is_integer())
+
+
+def _parse(spec: dict, fields: dict, where: str) -> dict:
+    """Coerce the mapping ``spec`` by a field table ``{key: (type, default)}``.
+
+    A row may add a cap, ``(type, default, cap)``.  Unknown keys are
+    rejected, a ``REQUIRED`` key must be given, an absent ``OPTIONAL``
+    key stays absent, and any other default fills an absent key.
+    """
+    unknown = [key for key in spec if key not in fields]
+    if unknown:
+        raise ValueError(f"unknown {where} options {unknown}")
+    out = {}
+    for key, (kind, default, *cap) in fields.items():
+        if key in spec:
+            out[key] = _coerce(spec[key], kind, f"{where} {key}", *cap)
+        elif default is REQUIRED:
+            raise ValueError(f"{where} needs {key!r}")
+        elif default is not OPTIONAL:
+            out[key] = default
+    return out
+
+
+def _coerce(value, kind, name: str, cap=None):
+    """Coerce one config value or library argument to ``kind`` without loss.
+
+    ``kind`` is ``int`` or ``float`` (at most ``cap``), ``bool``, ``str``,
+    ``dict`` (any mapping), ``[t]`` (a list of ``t``), a variant table
+    ``{kind: (constructor, fields)}`` (a mapping whose ``"kind"`` picks
+    the field table of the rest), or a tuple of these and ``None`` (null).
+    A number is a finite real (Infinity and NaN are not numbers; numpy
+    scalars and ints of any size are), a bool is not a number, a
+    non-integral number is not an int, and only true and false are bools.
+    Anything else raises ``ValueError``, before anything sized by the
+    value is allocated.
+    """
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    for k in kinds:
+        if value is None and k is None or k in (bool, str, dict) and isinstance(value, k):
+            return value
+        if (k is int or k is float) and _number(value):
+            if k is int and not _number(value, integral=True):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if cap is not None and value > cap:
+                raise ValueError(f"{name} must be at most {cap}, got {value!r}")
+            try:
+                return k(value)
+            except OverflowError:  # an int beyond the float range
+                raise ValueError(f"{name} is out of range, got {value!r}") from None
+        if isinstance(k, list) and isinstance(value, list):
+            return [_coerce(v, k[0], f"{name} entry") for v in value]
+        if isinstance(k, dict) and isinstance(value, dict):
+            variant = value.get("kind")
+            if not isinstance(variant, str) or variant not in k:
+                raise ValueError(f"{name} kind must be one of {list(k)}, got {variant!r}")
+            rest = {key: v for key, v in value.items() if key != "kind"}
+            return {"kind": variant, **_parse(rest, k[variant][1], f"{name} {variant!r}")}
+    expected = " or ".join(
+        "a list" if isinstance(k, list) else "a mapping with a 'kind'"
+        if isinstance(k, dict) else _EXPECTED[k] for k in kinds
+    )
+    raise ValueError(f"{name} must be {expected}, got {value!r}")
+
+
+def _positive(value, name: str) -> float:
+    """A positive finite real as a float."""
+    if type(value) is float and 0.0 < value < math.inf:  # the hot path's case, at once
+        return value
+    value = _coerce(value, float, name)
+    if not value > 0.0:
+        raise ValueError(f"{name} must be a positive finite real, got {value!r}")
+    return value
 
 
 def _as_count(value, name: str, cap: float = math.inf) -> int:
     """A count in [1, cap] as an int."""
-    if not _integral(value) or not 1 <= value <= cap:
+    if type(value) is int and 1 <= value <= cap:  # the hot path's case, at once
+        return value
+    if not _number(value, integral=True) or not 1 <= value <= cap:
         raise ValueError(f"{name} must be an integer in [1, {cap}], got {value!r}")
     return int(value)
 
 
 def _rng(seed) -> np.random.Generator:
     """The generator of an integer seed; anything else is a ``ValueError``."""
-    if not _integral(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    return np.random.default_rng(int(seed))
+    return np.random.default_rng(_coerce(seed, int, "seed"))
 
 
 def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float array, optionally of fixed length."""
-    arr = np.asarray(x, dtype=float)
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{name} must be an array of numbers: {exc}") from None
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
@@ -85,7 +173,10 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
 
 def as_matrix(m, dim: int | None = None, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite square 2-D float array, optionally of fixed size."""
-    arr = np.asarray(m, dtype=float)
+    try:
+        arr = np.asarray(m, dtype=float)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{name} must be an array of numbers: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
@@ -102,7 +193,7 @@ class ProblemInstance:
     Parameters
     ----------
     dim : int
-        Space dimension.
+        Space dimension, an integer of at least 1.
     operator : callable
         Evaluator ``u -> B(u)``, mapping 1-D arrays to 1-D arrays.
     data : array
@@ -132,8 +223,7 @@ class ProblemInstance:
     name: str = ""
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
+        object.__setattr__(self, "dim", _as_count(self.dim, "dim"))
         object.__setattr__(self, "data", as_vector(self.data, self.dim, "data"))
         if self.known_solution is not None:
             object.__setattr__(
@@ -141,8 +231,9 @@ class ProblemInstance:
                 "known_solution",
                 as_vector(self.known_solution, self.dim, "known_solution"),
             )
-        if self.m2_bound is not None and not 0 <= self.m2_bound < math.inf:
-            raise ValueError("m2_bound must be a finite nonnegative real")
+        object.__setattr__(self, "m2_bound", _coerce(self.m2_bound, (float, None), "m2_bound"))
+        if self.m2_bound is not None and not self.m2_bound >= 0.0:
+            raise ValueError(f"m2_bound must be a finite nonnegative real, got {self.m2_bound!r}")
 
 
 def apply_operator(problem: ProblemInstance, u) -> np.ndarray:
@@ -211,8 +302,7 @@ def check_monotonicity(
     cleared its tolerance.
     """
     trials = _as_count(trials, "trials")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    radius = _positive(radius, "radius")
     rng = _rng(seed)
     min_pairing = np.inf
     passed = True

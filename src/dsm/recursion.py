@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .problem import _coerce, as_vector
+
 __all__ = [
     "simulate_recursion",
     "unrolled_bound",
@@ -37,19 +39,17 @@ _TINY = 1e-300  # floor of a denominator that may be zero
 
 
 def _validate(g1, a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ValueError("a and b must be one-dimensional and equally long")
+    a = as_vector(a, name="weights a")
+    b = as_vector(b, a.size, "perturbations b")
     if a.size == 0:
         raise ValueError("need at least one step")
     if not np.all((a > 0.0) & (a <= 0.5)):
         raise ValueError("weights a must lie in (0, 0.5]")
-    if not np.all(b >= 0.0) or not np.all(np.isfinite(b)):
-        raise ValueError("perturbations b must be finite and non-negative")
-    g1 = float(g1)
-    if not (g1 >= 0.0) or not np.isfinite(g1):
-        raise ValueError("g1 must be a finite non-negative real")
+    if not np.all(b >= 0.0):
+        raise ValueError("perturbations b must be non-negative")
+    g1 = _coerce(g1, float, "g1")
+    if not g1 >= 0.0:
+        raise ValueError(f"g1 must be a finite non-negative real, got {g1!r}")
     return g1, a, b
 
 
@@ -101,17 +101,10 @@ def geometric_weighted_sum(g1, b, ratio) -> np.ndarray:
     in [0.5, 1).  Entry m is ``sum_k b_k ratio^(m-k) + g1 ratio^m``.
     Kept public: acceptance criterion 8 checks it against the direct sum.
     """
-    ratio = float(ratio)
-    if not (0.5 <= ratio < 1.0):
-        raise ValueError("ratio must lie in [0.5, 1)")
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.size == 0:
-        raise ValueError("b must be a non-empty one-dimensional sequence")
-    if not np.all(b >= 0.0) or not np.all(np.isfinite(b)):
-        raise ValueError("perturbations b must be finite and non-negative")
-    g1 = float(g1)
-    if not (g1 >= 0.0) or not np.isfinite(g1):
-        raise ValueError("g1 must be a finite non-negative real")
+    ratio = _coerce(ratio, float, "ratio")
+    if not 0.5 <= ratio < 1.0:
+        raise ValueError(f"ratio must lie in [0.5, 1), got {ratio!r}")
+    g1, _, b = _validate(g1, np.full(np.size(b), 1.0 - ratio), b)
     out = np.empty(b.size + 1)
     out[0] = g1
     for m in range(1, b.size + 1):
@@ -141,8 +134,9 @@ def check_bound_chain(g1, a, b, slack: float = 1e-12) -> ChainReport:
     ``observed`` is the worst ``(sim - unr) / unr`` or ``(unr - maj) / maj``,
     floored at 0; the chain passes when it is at most ``bound``, the slack.
     """
-    if not (0.0 <= slack < math.inf):
-        raise ValueError("slack must be a finite non-negative real")
+    slack = _coerce(slack, float, "slack")
+    if not slack >= 0.0:
+        raise ValueError(f"slack must be a finite non-negative real, got {slack!r}")
     sim = simulate_recursion(g1, a, b)
     unr = unrolled_bound(g1, a, b)
     maj = exponential_majorant(g1, a, b)
@@ -181,17 +175,15 @@ def horizon_diagnostics(a, b) -> HorizonReport:
     hypotheses, including inadmissible ones, rather than running the
     recursion.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ValueError("a and b must be one-dimensional and equally long")
+    a = as_vector(a, name="weights a")
+    b = as_vector(b, a.size, "perturbations b")
     horizon = a.size
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
-    if not np.all(a > 0.0) or not np.all(np.isfinite(a)):
+    if not np.all(a > 0.0):
         raise ValueError("weights a must be positive finite reals")
-    if not np.all(b >= 0.0) or not np.all(np.isfinite(b)):
-        raise ValueError("perturbations b must be finite and non-negative")
+    if not np.all(b >= 0.0):
+        raise ValueError("perturbations b must be non-negative")
 
     partial = np.cumsum(a)
     half = horizon // 2

@@ -13,7 +13,6 @@ Newton tolerance defaults tight: ``1e-12 * (1 + |f|)``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -23,6 +22,8 @@ from .linsolve import reg_solve
 from .problem import (
     NumericalFailure,
     ProblemInstance,
+    _as_count,
+    _positive,
     apply_operator,
     as_vector,
     jacobian,
@@ -129,19 +130,19 @@ def solve_regularized(
     search raises :class:`NumericalFailure`; exceeding ``max_iters``
     returns the best iterate flagged as unconverged.
     """
-    if not (epsilon > 0) or not np.isfinite(epsilon):
-        raise ValueError("epsilon must be a positive finite real")
+    epsilon = _positive(epsilon, "epsilon")
+    max_iters = _as_count(max_iters, "max_iters")
     f_active = (
         problem.data if f_override is None else as_vector(f_override, problem.dim, "f")
     )
     if newton_tol is None:
         newton_tol = default_newton_tol(f_active)
-    elif not (0.0 < newton_tol < math.inf):
-        raise ValueError("newton_tol must be a positive finite real")
+    else:
+        newton_tol = _positive(newton_tol, "newton_tol")
     v = np.zeros(problem.dim) if init is None else as_vector(init, problem.dim, "init").copy()
     v, res_norm, iters, _ = _damped_newton(problem, epsilon, f_active, v, newton_tol, max_iters)
     return RegRoot(
-        epsilon=float(epsilon),
+        epsilon=epsilon,
         v=v,
         residual_norm=res_norm,
         newton_iters=iters,
@@ -182,11 +183,9 @@ def regularization_path(
     Unconverged entries are kept and flagged on their :class:`RegRoot`
     rather than discarded.
     """
-    eps_list = [float(e) for e in epsilons]
-    if len(eps_list) == 0:
-        raise ValueError("epsilons must be non-empty")
-    if any(e <= 0 for e in eps_list):
-        raise ValueError("epsilons must be positive")
+    if np.ndim(epsilons) != 1 or len(epsilons) == 0:
+        raise ValueError(f"epsilons must be a non-empty sequence, got {epsilons!r}")
+    eps_list = [_positive(e, "epsilons entry") for e in epsilons]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilons must be strictly decreasing")
 

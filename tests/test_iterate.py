@@ -221,7 +221,18 @@ class TestMaxNArgument:
             "run_iteration(p, Schedule.constant(0.1), StepRule.constant_h(0.5), "
             f"max_n={value})",
         )
-        assert outcome == f"ValueError: max_n must be an integer in [1, inf], got {value}"
+        assert outcome == f"ValueError: max_n must be an integer in [1, 10000], got {value}"
+
+    def test_max_n_is_capped(self):
+        # run_iteration keeps every iterate, so max_n=10**9 with no early stop
+        # grew the history without bound, until the child's timeout
+        outcome = capped_outcome(
+            "Schedule, StepRule, make_problem, run_iteration",
+            "p = make_problem('cubic-monotone', dim=5)",
+            "run_iteration(p, Schedule.constant(0.1), StepRule.constant_h(0.5), 10**9, "
+            "stop_residual=0.0)",
+        )
+        assert outcome == "ValueError: max_n must be an integer in [1, 10000], got 1000000000"
 
     def test_max_n_accepts_numpy_integers(self):
         p = identity_problem(3, f=[1.0, 2.0, 3.0])
