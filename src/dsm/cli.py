@@ -60,6 +60,11 @@ def _check(check_id: str, observed: float, bound: float) -> dict:
     }
 
 
+def _stopping_ratio(gap: float, g0: float, eps: float) -> float:
+    """``|u(T) - V| / (g0 eps)``: a flow's gap to its root at the stopping time, over its bound."""
+    return gap / max(g0 * eps, _TINY)
+
+
 # ---------------------------------------------------------------------------
 # flow
 
@@ -105,7 +110,7 @@ def _run_flow(cfg: dict, out_dir: Path):
         _check(CHECK_FLOW_LIMIT_GAP, max_gap_ratio, slack),
     ]
     if at_stopping:
-        checks.append(_check(CHECK_STOPPING_GAP, final_gap / max(g0 * eps, _TINY), slack))
+        checks.append(_check(CHECK_STOPPING_GAP, _stopping_ratio(final_gap, g0, eps), slack))
 
     _write_trajectory(out_dir / "trajectory.csv", traj)
     run = {
@@ -234,47 +239,27 @@ def _run_noise_study(cfg: dict, out_dir: Path):
     if any(not (0.0 < d < 1.0) for d in deltas):
         raise ValueError("every delta must lie in (0, 1)")
     slack = cfg["slack"]
-    seed = cfg["seed"]
-    product_mode = cfg["epsilons"] is not None
-    if product_mode == (cfg["b_exp"] is not None):
+    b_exp = cfg["b_exp"]
+    stopping = b_exp is not None
+    if stopping == (cfg["epsilons"] is not None):
         raise ValueError("provide exactly one of 'epsilons' (grid) or 'b_exp' (stopping rule)")
-
-    runs = []
-    rows = []
-    if product_mode:
-        epsilons = cfg["epsilons"]
-        columns = ["delta", "eps", "root_gap", "gap_bound"]
-        max_ratio = 0.0
-        cell = 0
-        clean = [regroot.solve_regularized(problem, eps) for eps in epsilons]
-        for i, delta in enumerate(deltas):
-            f_noisy = corpus.add_noise(problem.data, delta, seed + i)
-            for eps, v in zip(epsilons, clean):
-                w = regroot.solve_regularized(problem, eps, f_override=f_noisy, init=v.v)
-                gap = norm(w.v - v.v)
-                bound = slack * delta / eps
-                rows.append([delta, eps, gap, bound])
-                max_ratio = max(max_ratio, gap * eps / delta)
-                cell += 1
-        runs.append(
-            {
-                "label": "noise-grid",
-                "metrics": {"cells": cell, "max_gap_ratio": max_ratio},
-                "checks": [_check(CHECK_NOISE_GAP, max_ratio, slack)],
-                "artifacts": ["noise.csv"],
-            }
-        )
-    else:
-        b_exp = cfg["b_exp"]
+    columns = ["delta", "eps", "root_gap", "gap_bound"]
+    if stopping:
         if any(b >= a for a, b in zip(deltas, deltas[1:])):
             raise ValueError("deltas must be strictly decreasing for the stopping study")
         y = regroot.minimal_norm_solution(problem)
-        columns = ["delta", "eps", "root_gap", "gap_bound", "stop_gap", "stop_bound", "err_at_stop"]
-        max_root_ratio = 0.0
-        max_stop_ratio = 0.0
-        errors = []
-        for i, delta in enumerate(deltas):
-            f_noisy = corpus.add_noise(problem.data, delta, seed + i)
+        columns += ["stop_gap", "stop_bound", "err_at_stop"]
+
+    clean = {}  # eps -> clean regularized root, solved cold once per distinct eps
+    runs = []
+    rows = []
+    max_ratio = 0.0
+    max_stop_ratio = 0.0
+    errors = []
+    for i, delta in enumerate(deltas):
+        f_noisy = corpus.add_noise(problem.data, delta, cfg["seed"] + i)
+        epsilons = cfg["epsilons"]
+        if stopping:
             result = flow.solve_noisy_to_stopping(
                 problem,
                 f_noisy,
@@ -284,19 +269,22 @@ def _run_noise_study(cfg: dict, out_dir: Path):
                 rtol=cfg["rtol"],
                 atol=cfg["atol"],
             )
-            eps = result.epsilon_used
-            v = regroot.solve_regularized(problem, eps)
-            w = regroot.solve_regularized(problem, eps, f_override=f_noisy, init=v.v)
-            root_gap = norm(w.v - v.v)
-            root_bound = slack * delta / eps
+            epsilons = [result.epsilon_used]
+        for eps in epsilons:
+            if eps not in clean:
+                clean[eps] = regroot.solve_regularized(problem, eps).v
+            w = regroot.solve_regularized(problem, eps, f_override=f_noisy, init=clean[eps]).v
+            gap = norm(w - clean[eps])
+            rows.append([delta, eps, gap, slack * delta / eps])
+            max_ratio = max(max_ratio, gap * eps / delta)
+        if stopping:
+            # the stopping rule's list holds one eps, so w and rows[-1] belong to it
             g0d = float(result.trajectory.residuals[0])
-            stop_gap = norm(result.w_final - w.v)
-            stop_bound = slack * g0d * eps
+            stop_gap = norm(result.w_final - w)
             err = norm(result.w_final - y)
             errors.append(err)
-            rows.append([delta, eps, root_gap, root_bound, stop_gap, stop_bound, err])
-            max_root_ratio = max(max_root_ratio, root_gap * eps / delta)
-            max_stop_ratio = max(max_stop_ratio, stop_gap / max(g0d * eps, _TINY))
+            rows[-1] += [stop_gap, slack * g0d * eps, err]
+            max_stop_ratio = max(max_stop_ratio, _stopping_ratio(stop_gap, g0d, eps))
             traj_name = f"trajectory-{i:02d}.csv"
             _write_trajectory(out_dir / traj_name, result.trajectory)
             runs.append(
@@ -312,25 +300,27 @@ def _run_noise_study(cfg: dict, out_dir: Path):
                     "artifacts": [traj_name, "noise.csv"],
                 }
             )
-        sweep_checks = [
-            _check(CHECK_NOISE_GAP, max_root_ratio, slack),
-            _check(CHECK_NOISY_STOPPING_GAP, max_stop_ratio, slack),
-        ]
+
+    checks = [_check(CHECK_NOISE_GAP, max_ratio, slack)]
+    metrics = {"cells": len(rows), "max_gap_ratio": max_ratio}
+    if stopping:
+        checks.append(_check(CHECK_NOISY_STOPPING_GAP, max_stop_ratio, slack))
         if len(errors) >= 2:
             # errors must strictly decrease: the bound is the largest double below 1
             worst = max(nxt / max(prev, _TINY) for prev, nxt in zip(errors, errors[1:]))
-            sweep_checks.append(_check(CHECK_NOISE_CONVERGENCE, worst, math.nextafter(1.0, 0.0)))
-        runs.append(
-            {
-                "label": "noise-sweep",
-                "metrics": {
-                    "b_exp": b_exp,
-                    "errors_at_stop": errors,
-                },
-                "checks": sweep_checks,
-                "artifacts": ["noise.csv"],
-            }
-        )
+            checks.append(_check(CHECK_NOISE_CONVERGENCE, worst, math.nextafter(1.0, 0.0)))
+        metrics = {
+            "b_exp": b_exp,
+            "errors_at_stop": errors,
+        }
+    runs.append(
+        {
+            "label": "noise-sweep" if stopping else "noise-grid",
+            "metrics": metrics,
+            "checks": checks,
+            "artifacts": ["noise.csv"],
+        }
+    )
     table = {"columns": columns, "rows": rows}
     return runs, table, problem
 

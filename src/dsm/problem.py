@@ -53,13 +53,18 @@ def inner(u: np.ndarray, v: np.ndarray) -> float:
 def norm(u: np.ndarray) -> float:
     """Euclidean norm of an array of real numbers: ``np.linalg.norm``'s own
     ``ord=None`` sum, without its dispatch."""
-    x = np.asarray(u)  # a ragged list raises ValueError here
-    if x.dtype is not _FLOAT:  # a float64 array, the hot path's case, passes at once
-        if x.dtype.kind not in "fiu":  # None, a bool, a string, an object or a complex
-            raise ValueError(f"norm needs an array of real numbers, got {u!r}")
-        x = x.astype(float)
-    x = x.ravel(order="K")
+    x = _reals(u, "norm's argument").ravel(order="K")
     return math.sqrt(np.vdot(x, x))  # dot's bits, but inf past the float range, not a warning
+
+
+def _reals(x, name: str) -> np.ndarray:
+    """``x`` as a float64 array, when numpy makes an array of real numbers of it."""
+    arr = np.asarray(x)  # a ragged list raises ValueError here
+    if arr.dtype is not _FLOAT:  # a float64 array, the hot path's case, passes at once
+        if arr.dtype.kind not in "fiu":  # None, a bool, a string, an object or a complex
+            raise ValueError(f"{name} must be an array of real numbers, got dtype {arr.dtype}")
+        arr = arr.astype(float)
+    return arr
 
 
 REQUIRED = object()  # field-table default: the key must be given
@@ -163,11 +168,10 @@ def _rng(seed) -> np.random.Generator:
 
 
 def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite 1-D float array, optionally of fixed length."""
-    try:
-        arr = np.asarray(x, dtype=float)
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"{name} must be an array of numbers: {exc}") from None
+    """Coerce an array of real numbers to a finite 1-D float array, optionally
+    of fixed length; None, a bool, a string, an object or a complex array is a
+    ``ValueError``."""
+    arr = _reals(x, name)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
@@ -178,11 +182,9 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
 
 
 def as_matrix(m, dim: int | None = None, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite square 2-D float array, optionally of fixed size."""
-    try:
-        arr = np.asarray(m, dtype=float)
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"{name} must be an array of numbers: {exc}") from None
+    """Coerce an array of real numbers to a finite square 2-D float array,
+    optionally of fixed size, by :func:`as_vector`'s dtype rule."""
+    arr = _reals(m, name)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dsm import NumericalFailure, corpus, emit_table, main, regroot, run_experiment
+from dsm import NumericalFailure, corpus, emit_table, flow, main, regroot, run_experiment
 from dsm.cli import _EXPERIMENTS
 from dsm.corpus import OPTIONAL, REQUIRED
 from dsm.problem import norm
@@ -160,13 +160,24 @@ class TestRunExperiment:
             run_experiment(load_config(f"{name}.json"), tmp_path / name)
             assert len(builds) == (0 if name == "lemma-sim" else 1), name
 
-    def test_noise_grid_solves_each_clean_root_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "rule, clean_solves",
+        [
+            ({"epsilons": [1e-1, 1e-2, 1e-3]}, 3),
+            ({"epsilons": [1e-1, 1e-2, 1e-1]}, 2),
+            ({"b_exp": 0.5}, 2),
+        ],
+        ids=["grid", "grid-repeated-eps", "stopping-rule"],
+    )
+    def test_noise_grid_solves_each_clean_root_once(
+        self, tmp_path, monkeypatch, rule, clean_solves
+    ):
         cfg = {
             "kind": "noise-study",
             "problem": {"corpus": "psd-singular-linear"},
             "deltas": [0.01, 0.001],
-            "epsilons": [1e-1, 1e-2, 1e-3],
             "seed": 4,
+            **rule,
         }
         solves = []
         solve = regroot.solve_regularized
@@ -178,17 +189,25 @@ class TestRunExperiment:
         monkeypatch.setattr(regroot, "solve_regularized", counting)
         report = run_experiment(cfg, tmp_path)
         monkeypatch.undo()
-        assert (solves.count(True), solves.count(False)) == (3, 2 * 3)
+        noisy_solves = 2 * len(rule.get("epsilons", [None]))
+        assert (solves.count(True), solves.count(False)) == (clean_solves, noisy_solves)
 
-        # reference: a cold clean solve in every cell
+        # reference: a cold clean solve in every cell, and the noisy root warm from it
         problem = corpus.problem_from_dict(cfg["problem"])
+        slack = report["config"]["slack"]
         rows = []
         for i, delta in enumerate(cfg["deltas"]):
             f_noisy = corpus.add_noise(problem.data, delta, cfg["seed"] + i)
-            for eps in cfg["epsilons"]:
+            epsilons = rule["epsilons"] if "epsilons" in rule else [delta ** rule["b_exp"]]
+            for eps in epsilons:
                 v = solve(problem, eps)
                 w = solve(problem, eps, f_override=f_noisy, init=v.v)
-                rows.append([delta, eps, norm(w.v - v.v), report["config"]["slack"] * delta / eps])
+                rows.append([delta, eps, norm(w.v - v.v), slack * delta / eps])
+            if "b_exp" in rule:
+                stop = flow.solve_noisy_to_stopping(problem, f_noisy, delta, rule["b_exp"])
+                g0 = stop.trajectory.residuals[0]
+                y = regroot.minimal_norm_solution(problem)
+                rows[-1] += [norm(stop.w_final - w.v), slack * g0 * eps, norm(stop.w_final - y)]
         reference = {"table": {"columns": report["table"]["columns"], "rows": rows}}
         assert (tmp_path / "noise.csv").read_text() == emit_table(reference, "csv")
 

@@ -84,10 +84,9 @@ CHAIN = {"g1": "number", "a": "vector", "b": "vector"}
 
 # name -> (callable, valid keyword arguments, {mutated argument: its type});
 # the types are "number", "int", "count" (an integer of at least 1), "str",
-# "mapping", "numbers" (a list of numbers), "vector" (an array: only None is
-# ruled out here), "reals" (what numpy makes an array of reals of, NaN and
-# infinities included: see _makes_reals), each with a trailing "?" where None
-# is allowed, and "any" (no type rule)
+# "mapping", "numbers" (a list of numbers), "vector" (what numpy makes an
+# array of reals of, NaN and infinities included: see _makes_reals), each
+# with a trailing "?" where None is allowed, and "any" (no type rule)
 CALLS = {
     "ProblemInstance": (
         ProblemInstance,
@@ -95,7 +94,7 @@ CALLS = {
         {"dim": "count", "data": "vector", "known_solution": "vector?", "m2_bound": "number?"},
     ),
     "inner": (inner, dict(u=U, v=U), {"u": "vector", "v": "vector"}),
-    "norm": (norm, dict(u=U), {"u": "reals"}),
+    "norm": (norm, dict(u=U), {"u": "vector"}),
     "as_vector": (as_vector, dict(x=U, dim=4), {"x": "vector", "dim": "any"}),
     "as_matrix": (as_matrix, dict(m=A, dim=3), {"m": "vector", "dim": "any"}),
     "apply_operator": (apply_operator, dict(problem=P, u=U), {"u": "vector"}),
@@ -111,7 +110,7 @@ CALLS = {
     "reg_solve": (
         reg_solve, dict(a=A, epsilon=0.1, b=B), {"a": "vector", "epsilon": "number", "b": "vector"}
     ),
-    "default_newton_tol": (default_newton_tol, dict(f_active=U), {"f_active": "reals"}),
+    "default_newton_tol": (default_newton_tol, dict(f_active=U), {"f_active": "vector"}),
     "solve_regularized": (
         solve_regularized,
         dict(problem=P, epsilon=0.1),
@@ -258,8 +257,7 @@ def must_reject(kind: str, value) -> bool:
         "str": not isinstance(value, str),
         "mapping": not isinstance(value, dict),
         "numbers": not isinstance(value, list) or not all(_is_number(v) for v in value),
-        "vector": False,
-        "reals": not _makes_reals(value),
+        "vector": not _makes_reals(value),
     }[kind.rstrip("?")]
 
 
@@ -333,6 +331,11 @@ VALUES = st.one_of(
 @example(("norm", "u"), True)
 @example(("norm", "u"), [True])
 @example(("default_newton_tol", "f_active"), None)
+# each was converted by numpy before: "2" as 2.0, True as 1.0
+@example(("as_vector", "x"), ["2", "3", "4", "5"])
+@example(("inner", "v"), [True, True, True, True])
+@example(("reg_solve", "b"), ["1", "2", "3"])
+@example(("as_matrix", "m"), [[True, False, False], [False, True, False], [False, False, True]])
 def test_mutated_argument_returns_or_raises_value_error(case, value):
     name, arg = case
     check(name, arg, value, outcome(name, arg, value))
