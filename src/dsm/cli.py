@@ -203,8 +203,7 @@ def _run_reg_path(cfg: dict, out_dir: Path):
         )
         worst = -math.inf
         for entry in path.entries:
-            v = entry.root.v
-            worst = max(worst, norm(v - y) ** 2 - inner(y, y - v))
+            worst = max(worst, entry.error_to_y ** 2 - inner(y, y - entry.root.v))
         checks.append(_check(CHECK_ERROR_INNER_BOUND, worst, cfg["inner_slack"]))
 
     run = {

@@ -72,7 +72,8 @@ def _orthogonal(dim: int, rng) -> np.ndarray:
 
 
 def _linear(m: np.ndarray, f, known_solution, name: str) -> ProblemInstance:
-    """The linear problem ``m u = f``; ``known_solution`` is its minimal-norm solution or None."""
+    """The linear problem ``m u = f``; ``known_solution`` is its minimal-norm solution, or
+    None to store the least-squares one."""
     return ProblemInstance(
         dim=m.shape[0],
         operator=lambda u: m @ u,
@@ -232,8 +233,10 @@ def problem_from_dict(spec: dict) -> ProblemInstance:
     ``{"linear": {"matrix": ..., "data": ..., ...}}`` for an explicit
     matrix problem.  Explicit matrices must be monotone (symmetric part
     positive semidefinite); that is checked exactly here rather than
-    sampled later.  A corpus option its factory does not take is rejected
-    by :func:`make_problem`.
+    sampled later.  A given ``known_solution`` must reproduce the data to
+    ``1e-9 (1 + |f|)`` and be at most ``1 + 1e-9`` times as long as the
+    least-squares solution, which is stored when none is given.  A corpus
+    option its factory does not take is rejected by :func:`make_problem`.
     """
     if isinstance(spec, dict) and "corpus" in spec:
         kwargs = _parse(spec, _CORPUS_FIELDS, "corpus")
@@ -247,7 +250,16 @@ def problem_from_dict(spec: dict) -> ProblemInstance:
             raise ValueError(
                 f"matrix is not monotone (symmetric part has eigenvalue {sym_min:.3e})"
             )
-        return _linear(m, body["data"], body["known_solution"], body["name"])
+        problem = _linear(m, body["data"], None, body["name"])  # stores the lstsq solution
+        if body["known_solution"] is not None:
+            y = as_vector(body["known_solution"], problem.dim, "known_solution")
+            back = norm(m @ y - problem.data)
+            if back > 1e-9 * (1.0 + norm(problem.data)):
+                raise ValueError(f"known_solution does not reproduce the data (residual {back:.3e})")
+            if norm(y) > (1.0 + 1e-9) * norm(problem.known_solution):
+                raise ValueError("known_solution is not minimal-norm: lstsq finds a shorter one")
+            problem = _linear(m, problem.data, y, problem.name)
+        return problem
     raise ValueError("problem specification needs a 'corpus' or 'linear' entry")
 
 

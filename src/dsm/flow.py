@@ -123,9 +123,7 @@ def integrate_flow(
         steps += iters
         halvings += cuts
 
-    residuals = np.array(
-        [residual_value(problem, epsilon, u, f_override=f_override) for u in states]
-    )
+    residuals = np.array([norm(_residual(problem, epsilon, u, f_active)) for u in states])
     return FlowResult(
         epsilon=epsilon,
         times=times,

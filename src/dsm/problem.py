@@ -216,7 +216,8 @@ class ProblemInstance:
         working ball.  It gates the Taylor-remainder certificate and the
         residual-driven iteration schedule.
     is_linear : bool
-        B is a matrix; the minimal-norm oracle then solves by least squares.
+        B is a matrix.  Without a ``known_solution``, construction stores the
+        ``lstsq`` minimal-norm one: one Jacobian and one O(dim^3) solve.
     name : str
         Free-form label, echoed in reports.
     """
@@ -239,6 +240,9 @@ class ProblemInstance:
                 "known_solution",
                 as_vector(self.known_solution, self.dim, "known_solution"),
             )
+        elif self.is_linear:
+            y = np.linalg.lstsq(jacobian(self, np.zeros(self.dim)), self.data, rcond=1e-12)[0]
+            object.__setattr__(self, "known_solution", y)
         object.__setattr__(self, "m2_bound", _coerce(self.m2_bound, (float, None), "m2_bound"))
         if self.m2_bound is not None and not self.m2_bound >= 0.0:
             raise ValueError(f"m2_bound must be a finite nonnegative real, got {self.m2_bound!r}")
@@ -247,7 +251,7 @@ class ProblemInstance:
 def apply_operator(problem: ProblemInstance, u) -> np.ndarray:
     """Evaluate B(u), validating shapes and finiteness of the result."""
     u = as_vector(u, problem.dim, "u")
-    out = np.asarray(problem.operator(u), dtype=float)
+    out = _reals(problem.operator(u), "operator output")
     if out.shape != (problem.dim,):
         raise ValueError(
             f"operator returned shape {out.shape}, expected ({problem.dim},)"

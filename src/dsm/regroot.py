@@ -210,24 +210,18 @@ def regularization_path(
 
 
 def minimal_norm_solution(problem: ProblemInstance) -> np.ndarray:
-    """Ground-truth minimal-norm solution of B(u) = f.
-
-    Linear problems get the least-squares pseudoinverse solution (LAPACK
-    ``gelsd``: singular values at most ``1e-12 * sigma_max`` count as zero,
-    no singular vectors are formed), orthogonal to the kernel.  Any other
-    problem returns its stored ``known_solution``, which is the minimal-norm
-    solution by contract; without one there is no oracle and ``ValueError``
-    is raised.  Either way the answer must reproduce the data.
+    """Ground-truth minimal-norm solution of B(u) = f: a copy of the stored
+    ``known_solution``, which is the minimal-norm solution by contract (a
+    linear problem built without one stores its least-squares solution).
+    Without one there is no oracle and ``ValueError`` is raised.  The answer
+    must reproduce the data.
     """
-    if problem.is_linear:
-        y = np.linalg.lstsq(jacobian(problem, np.zeros(problem.dim)), problem.data, rcond=1e-12)[0]
-    elif problem.known_solution is not None:
-        y = problem.known_solution.copy()
-    else:
+    if problem.known_solution is None:
         raise ValueError(
             "no minimal-norm oracle for this problem "
-            "(needs linearity or a stored known_solution)"
+            "(needs a stored known_solution)"
         )
+    y = problem.known_solution.copy()
     back = norm(apply_operator(problem, y) - problem.data)
     if back > 1e-9 * (1.0 + norm(problem.data)):
         raise NumericalFailure(

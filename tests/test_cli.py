@@ -13,7 +13,7 @@ import pytest
 from dsm import NumericalFailure, corpus, emit_table, flow, main, regroot, run_experiment
 from dsm.cli import _EXPERIMENTS
 from dsm.corpus import OPTIONAL, REQUIRED
-from dsm.problem import norm
+from dsm.problem import inner, norm
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -139,6 +139,20 @@ class TestRunExperiment:
         rebuilt = corpus.problem_from_dict(block["spec"])
         matrix = np.ascontiguousarray(rebuilt.jacobian(np.zeros(rebuilt.dim)), dtype=np.float64)
         assert block["matrix_sha256"] == hashlib.sha256(matrix.tobytes()).hexdigest()
+
+    def test_reg_path_checks_and_errors_share_one_y(self, tmp_path):
+        cfg = {**load_config("reg-path.json"), "problem": {"corpus": "hilbert-psd"}}
+        report = run_experiment(cfg, tmp_path)
+        problem = corpus.problem_from_dict(cfg["problem"])
+        y = problem.known_solution
+        path = regroot.regularization_path(problem, cfg["epsilons"])
+        errors = [float(line.split(",")[2]) for line in
+                  (tmp_path / "path.csv").read_text().splitlines()[1:]]
+        assert errors == [norm(e.root.v - y) for e in path.entries]
+        checks = {c["check"]: c for c in report["runs"][0]["checks"]}
+        assert checks["norm-dominance"]["bound"] == norm(y) * (1.0 + report["config"]["norm_slack"])
+        worst = max(norm(e.root.v - y) ** 2 - inner(y, y - e.root.v) for e in path.entries)
+        assert checks["error-inner-bound"]["observed"] == worst
 
     def test_nonlinear_report_has_no_matrix(self, tmp_path):
         report = run_experiment(load_config("flow.json"), tmp_path)
@@ -289,6 +303,20 @@ class TestCliEntryPoint:
         )
         assert code == 2
         assert "kind" in err
+
+    @pytest.mark.parametrize(
+        "given, shown",
+        [("[1, 3, 1]", "is not minimal-norm"), ("[1, 2, 0]", "does not reproduce the data")],
+    )
+    def test_wrong_known_solution_exits_two(self, tmp_path, capsys, given, shown):
+        problem = ('{"linear": {"matrix": [[2, 0, 0], [0, 1, 0], [0, 0, 0]], "data": [2, 3, 0], '
+                   f'"known_solution": {given}}}}}')
+        code, _, err = self.run(
+            capsys, "reg-path", "--config", str(CONFIGS / "reg-path.json"),
+            "--out", str(tmp_path), "--set", f"problem={problem}",
+        )
+        assert code == 2
+        assert f"known_solution {shown}" in err
 
     @pytest.mark.parametrize("tol", ["-1", "0"])
     def test_nonpositive_newton_tol_exits_two(self, tmp_path, capsys, tol):

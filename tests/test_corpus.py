@@ -219,10 +219,41 @@ class TestProblemFromDict:
         assert p.name == "diag-demo"
         np.testing.assert_allclose(apply_operator(p, np.array([1.0, 3.0])), [2.0, 3.0])
 
+    @pytest.mark.parametrize(
+        "matrix, given",
+        [
+            ([[2.0, 0.0], [0.0, 1.0]], [1.0, 3.0]),  # README's diag-demo
+            ((1.0 / (np.arange(12)[:, None] + np.arange(12) + 1.0)).tolist(), [1.0] * 12),
+        ],
+        ids=["diag-demo", "hilbert-exact"],
+    )
+    def test_linear_form_keeps_a_minimal_norm_solution(self, matrix, given):
+        # Hilbert's exact ones are 1.95e-11 shorter than its truncated lstsq
+        # answer, 3.03e-5 away from them, so a distance test would refuse them
+        data = (np.array(matrix) @ np.array(given)).tolist()
+        p = problem_from_dict({"linear": {"matrix": matrix, "data": data, "known_solution": given}})
+        np.testing.assert_array_equal(p.known_solution, given)
+
+    @pytest.mark.parametrize(
+        "given, why",
+        [
+            ([1.0, 3.0, 1.0], "is not minimal-norm"),
+            ([1.0, 2.0, 0.0], "does not reproduce the data"),
+            ([1.0], "has length 1, expected 3"),
+        ],
+        ids=["kernel-component", "misses-the-data", "wrong-length"],
+    )
+    def test_linear_form_refuses_a_wrong_solution(self, given, why):
+        spec = {"linear": {"matrix": [[2, 0, 0], [0, 1, 0], [0, 0, 0]], "data": [2, 3, 0],
+                           "known_solution": given}}
+        with pytest.raises(ValueError, match=f"known_solution {why}"):
+            problem_from_dict(spec)
+
     def test_linear_defaults(self):
-        p = problem_from_dict({"linear": {"matrix": [[1.0]], "data": [1.0]}})
+        p = problem_from_dict({"linear": {"matrix": [[2.0, 0.0], [0.0, 0.0]], "data": [1.0, 0.0]}})
         assert p.name == "external-linear"
-        assert p.known_solution is None
+        # the least-squares minimal-norm solution is stored at construction
+        np.testing.assert_array_equal(p.known_solution, [0.5, 0.0])
 
     def test_skew_matrix_is_monotone(self):
         p = problem_from_dict({"linear": {"matrix": [[0.0, 1.0], [-1.0, 0.0]], "data": [1.0, 0.0]}})

@@ -166,6 +166,13 @@ class TestApplyOperator:
         with pytest.raises(NumericalFailure):
             apply_operator(p, np.array([1.0]))
 
+    @pytest.mark.parametrize("output", [["1", "2"], [True, False], np.array([1 + 0j, 2])])
+    def test_non_real_output_rejected(self, output):
+        # the operator's output follows the dtype rule of norm and as_vector
+        p = ProblemInstance(dim=2, operator=lambda u: output, data=np.zeros(2))
+        with pytest.raises(ValueError, match="operator output must be an array of real numbers"):
+            apply_operator(p, np.zeros(2))
+
 
 class TestJacobian:
     def test_identity_gives_eye(self):

@@ -186,6 +186,24 @@ class TestMinimalNormSolution:
             minimal_norm_solution(cubic), cubic.known_solution, atol=0.0
         )
 
+    def test_hilbert_oracle_is_its_exact_stored_solution(self):
+        # a truncated lstsq answer lies 3e-5 away; the stored ones are exact
+        y = minimal_norm_solution(make_problem("hilbert-psd"))
+        assert np.array_equal(y, np.ones(12))
+
+    def test_linear_oracle_is_stored_at_construction(self, monkeypatch):
+        p = diag_linear_problem([0.0, 2.0], [0.0, 3.0])
+        np.testing.assert_array_equal(p.known_solution, [0.0, 1.5])
+
+        def no_lstsq(*args, **kwargs):
+            raise AssertionError("the oracle solved by least squares again")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+        y = minimal_norm_solution(p)
+        np.testing.assert_array_equal(y, p.known_solution)
+        y[0] = 7.0  # a copy: the stored solution stays put
+        np.testing.assert_array_equal(minimal_norm_solution(p), [0.0, 1.5])
+
     def test_stored_solution_need_not_be_unique(self):
         # B(u) = (u1 + u1^3, 0) is monotone, not strictly: B(u) = f on the
         # line u1 = 1, whose minimal-norm member is the stored (1, 0)
