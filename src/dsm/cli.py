@@ -30,7 +30,7 @@ import numpy as np
 
 from . import corpus, flow, iterate, recursion, regroot
 from .flow import MAX_CHECKPOINTS
-from .problem import OPTIONAL, REQUIRED, NumericalFailure, _coerce, inner, norm
+from .problem import OPTIONAL, REQUIRED, NumericalFailure, _coerce, _non_negative, inner, norm
 
 __all__ = ["run_experiment", "emit_table", "main"]
 
@@ -86,6 +86,8 @@ def _flow_tables(traj, root_v, slack):
 
 
 def _run_flow(cfg: dict, out_dir: Path):
+    decay_tol = _non_negative(cfg["decay_tol"], "decay_tol")
+    slack = _non_negative(cfg["slack"], "slack")
     problem = corpus.problem_from_dict(cfg["problem"])
     eps = cfg["epsilon"]
     at_stopping = cfg["t_end"] is None
@@ -100,13 +102,12 @@ def _run_flow(cfg: dict, out_dir: Path):
         atol=cfg["atol"],
     )
     root = regroot.solve_regularized(problem, eps)
-    slack = cfg["slack"]
     rows, max_dev, max_gap_ratio = _flow_tables(traj, root.v, slack)
     g0 = float(traj.residuals[0])
     final_gap = norm(traj.states[-1] - root.v)
 
     checks = [
-        _check(CHECK_RESIDUAL_DECAY, max_dev, cfg["decay_tol"]),
+        _check(CHECK_RESIDUAL_DECAY, max_dev, decay_tol),
         _check(CHECK_FLOW_LIMIT_GAP, max_gap_ratio, slack),
     ]
     if at_stopping:
@@ -182,12 +183,11 @@ def _run_iterate(cfg: dict, out_dir: Path):
 
 
 def _run_reg_path(cfg: dict, out_dir: Path):
+    norm_slack = _non_negative(cfg["norm_slack"], "norm_slack")
+    inner_slack = _non_negative(cfg["inner_slack"], "inner_slack")
     problem = corpus.problem_from_dict(cfg["problem"])
     path = regroot.regularization_path(problem, cfg["epsilons"], newton_tol=cfg["newton_tol"])
-    try:
-        y = regroot.minimal_norm_solution(problem)
-    except ValueError:
-        y = None
+    y = problem.known_solution
 
     rows = []
     for i, entry in enumerate(path.entries):
@@ -199,12 +199,12 @@ def _run_reg_path(cfg: dict, out_dir: Path):
         y_norm = norm(y)
         max_vnorm = max(e.v_norm for e in path.entries)
         checks.append(
-            _check(CHECK_NORM_DOMINANCE, max_vnorm, y_norm * (1.0 + cfg["norm_slack"]))
+            _check(CHECK_NORM_DOMINANCE, max_vnorm, y_norm * (1.0 + norm_slack))
         )
         worst = -math.inf
         for entry in path.entries:
             worst = max(worst, entry.error_to_y ** 2 - inner(y, y - entry.root.v))
-        checks.append(_check(CHECK_ERROR_INNER_BOUND, worst, cfg["inner_slack"]))
+        checks.append(_check(CHECK_ERROR_INNER_BOUND, worst, inner_slack))
 
     run = {
         "label": "reg-path",
@@ -237,7 +237,7 @@ def _run_noise_study(cfg: dict, out_dir: Path):
         raise ValueError("deltas must be non-empty")
     if any(not (0.0 < d < 1.0) for d in deltas):
         raise ValueError("every delta must lie in (0, 1)")
-    slack = cfg["slack"]
+    slack = _non_negative(cfg["slack"], "slack")
     b_exp = cfg["b_exp"]
     stopping = b_exp is not None
     if stopping == (cfg["epsilons"] is not None):
@@ -248,6 +248,10 @@ def _run_noise_study(cfg: dict, out_dir: Path):
             raise ValueError("deltas must be strictly decreasing for the stopping study")
         y = regroot.minimal_norm_solution(problem)
         columns += ["stop_gap", "stop_bound", "err_at_stop"]
+    elif len(cfg["epsilons"]) == 0:
+        raise ValueError("epsilons must be non-empty")
+    elif any(not eps > 0.0 for eps in cfg["epsilons"]):
+        raise ValueError("every epsilon must be positive")
 
     clean = {}  # eps -> clean regularized root, solved cold once per distinct eps
     runs = []

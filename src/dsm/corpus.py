@@ -233,10 +233,10 @@ def problem_from_dict(spec: dict) -> ProblemInstance:
     ``{"linear": {"matrix": ..., "data": ..., ...}}`` for an explicit
     matrix problem.  Explicit matrices must be monotone (symmetric part
     positive semidefinite); that is checked exactly here rather than
-    sampled later.  A given ``known_solution`` must reproduce the data to
-    ``1e-9 (1 + |f|)`` and be at most ``1 + 1e-9`` times as long as the
-    least-squares solution, which is stored when none is given.  A corpus
-    option its factory does not take is rejected by :func:`make_problem`.
+    sampled later.  A given ``known_solution`` must be at most ``1 + 1e-9``
+    times as long as the least-squares solution, which is stored when none
+    is given; :class:`ProblemInstance` checks that either reproduces the data.
+    A corpus option its factory does not take is rejected by :func:`make_problem`.
     """
     if isinstance(spec, dict) and "corpus" in spec:
         kwargs = _parse(spec, _CORPUS_FIELDS, "corpus")
@@ -252,13 +252,10 @@ def problem_from_dict(spec: dict) -> ProblemInstance:
             )
         problem = _linear(m, body["data"], None, body["name"])  # stores the lstsq solution
         if body["known_solution"] is not None:
-            y = as_vector(body["known_solution"], problem.dim, "known_solution")
-            back = norm(m @ y - problem.data)
-            if back > 1e-9 * (1.0 + norm(problem.data)):
-                raise ValueError(f"known_solution does not reproduce the data (residual {back:.3e})")
-            if norm(y) > (1.0 + 1e-9) * norm(problem.known_solution):
+            given = _linear(m, problem.data, body["known_solution"], problem.name)
+            if norm(given.known_solution) > (1.0 + 1e-9) * norm(problem.known_solution):
                 raise ValueError("known_solution is not minimal-norm: lstsq finds a shorter one")
-            problem = _linear(m, problem.data, y, problem.name)
+            problem = given
         return problem
     raise ValueError("problem specification needs a 'corpus' or 'linear' entry")
 

@@ -28,7 +28,7 @@ from .problem import (
     NumericalFailure,
     ProblemInstance,
     _as_count,
-    _coerce,
+    _non_negative,
     _positive,
     as_vector,
     norm,
@@ -131,9 +131,7 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in ("constant", "geometric", "oracle"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        object.__setattr__(self, "floor", _coerce(self.floor, float, "floor"))
-        if not self.floor >= 0.0:
-            raise ValueError(f"floor must be a finite non-negative real, got {self.floor!r}")
+        object.__setattr__(self, "floor", _non_negative(self.floor, "floor"))
         if self.kind == "constant":
             object.__setattr__(self, "epsilon", _positive(self.epsilon, "epsilon"))
         if self.kind == "geometric":
@@ -336,9 +334,10 @@ def run_iteration(
         raise ValueError(
             f"explicit step rule supplies {steps.limit} steps but max_n={max_n}"
         )
-    stop_residual = _coerce(stop_residual, (float, None), "stop_residual")
     if stop_residual is None:
         stop_residual = 1e-10 * (1.0 + norm(problem.data))
+    else:
+        stop_residual = _non_negative(stop_residual, "stop_residual")
     track = record_roots or schedule.kind == "oracle"
     c = _curvature_constant(problem) if schedule.kind == "oracle" else None
     u = np.zeros(problem.dim) if u0 is None else as_vector(u0, problem.dim, "u0").copy()
@@ -434,9 +433,7 @@ def verify_step_recursion(
         raise ValueError("recursion check needs at least one completed step")
     if history.steps[0].gap is None or history.steps[0].root_gap is None:
         raise ValueError("recursion check needs a run with recorded roots")
-    slack = _coerce(slack, float, "slack")
-    if not slack >= 0.0:
-        raise ValueError(f"slack must be a finite non-negative real, got {slack!r}")
+    slack = _non_negative(slack, "slack")
     c = 0.5 * float(problem.m2_bound) if problem.m2_bound is not None else 0.0
     records: list[StepBoundRecord] = []
     for cur, nxt in zip(history.steps, history.steps[1:]):

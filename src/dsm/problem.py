@@ -153,6 +153,14 @@ def _positive(value, name: str) -> float:
     return value
 
 
+def _non_negative(value, name: str) -> float:
+    """A finite non-negative real as a float."""
+    value = _coerce(value, float, name)
+    if not value >= 0.0:
+        raise ValueError(f"{name} must be a finite non-negative real, got {value!r}")
+    return value
+
+
 def _as_count(value, name: str, cap: float = math.inf) -> int:
     """A count in [1, cap] as an int."""
     if type(value) is int and 1 <= value <= cap:  # the hot path's case, at once
@@ -217,7 +225,8 @@ class ProblemInstance:
         residual-driven iteration schedule.
     is_linear : bool
         B is a matrix.  Without a ``known_solution``, construction stores the
-        ``lstsq`` minimal-norm one: one Jacobian and one O(dim^3) solve.
+        ``lstsq`` minimal-norm one: one Jacobian and one O(dim^3) solve.  A
+        stored solution is checked against the data: one operator evaluation.
     name : str
         Free-form label, echoed in reports.
     """
@@ -234,18 +243,20 @@ class ProblemInstance:
     def __post_init__(self):
         object.__setattr__(self, "dim", _as_count(self.dim, "dim"))
         object.__setattr__(self, "data", as_vector(self.data, self.dim, "data"))
-        if self.known_solution is not None:
-            object.__setattr__(
-                self,
-                "known_solution",
-                as_vector(self.known_solution, self.dim, "known_solution"),
-            )
-        elif self.is_linear:
+        y = self.known_solution
+        if y is None and self.is_linear:
             y = np.linalg.lstsq(jacobian(self, np.zeros(self.dim)), self.data, rcond=1e-12)[0]
+        if y is not None:
+            y = as_vector(y, self.dim, "known_solution")
+            back = norm(apply_operator(self, y) - self.data)
+            if back > 1e-9 * (1.0 + norm(self.data)):
+                raise ValueError(
+                    f"known_solution does not reproduce the data (residual {back:.3e}); "
+                    "a linear problem built without one has data outside its matrix's range"
+                )
             object.__setattr__(self, "known_solution", y)
-        object.__setattr__(self, "m2_bound", _coerce(self.m2_bound, (float, None), "m2_bound"))
-        if self.m2_bound is not None and not self.m2_bound >= 0.0:
-            raise ValueError(f"m2_bound must be a finite nonnegative real, got {self.m2_bound!r}")
+        if self.m2_bound is not None:
+            object.__setattr__(self, "m2_bound", _non_negative(self.m2_bound, "m2_bound"))
 
 
 def apply_operator(problem: ProblemInstance, u) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import _coerce, as_vector
+from .problem import _coerce, _non_negative, as_vector
 
 __all__ = [
     "simulate_recursion",
@@ -47,9 +47,7 @@ def _validate(g1, a, b):
         raise ValueError("weights a must lie in (0, 0.5]")
     if not np.all(b >= 0.0):
         raise ValueError("perturbations b must be non-negative")
-    g1 = _coerce(g1, float, "g1")
-    if not g1 >= 0.0:
-        raise ValueError(f"g1 must be a finite non-negative real, got {g1!r}")
+    g1 = _non_negative(g1, "g1")
     return g1, a, b
 
 
@@ -134,9 +132,7 @@ def check_bound_chain(g1, a, b, slack: float = 1e-12) -> ChainReport:
     ``observed`` is the worst ``(sim - unr) / unr`` or ``(unr - maj) / maj``,
     floored at 0; the chain passes when it is at most ``bound``, the slack.
     """
-    slack = _coerce(slack, float, "slack")
-    if not slack >= 0.0:
-        raise ValueError(f"slack must be a finite non-negative real, got {slack!r}")
+    slack = _non_negative(slack, "slack")
     sim = simulate_recursion(g1, a, b)
     unr = unrolled_bound(g1, a, b)
     maj = exponential_majorant(g1, a, b)

@@ -318,6 +318,62 @@ class TestCliEntryPoint:
         assert code == 2
         assert f"known_solution {shown}" in err
 
+    @pytest.mark.parametrize(
+        "kind, key",
+        [("flow", "decay_tol"), ("flow", "slack"), ("noise-study", "slack"),
+         ("reg-path", "norm_slack"), ("reg-path", "inner_slack")],
+    )
+    def test_negative_bound_exits_two_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, kind, key
+    ):
+        # a negative bound failed every run with exit 1, after solving it
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran on an invalid configuration")
+
+        monkeypatch.setattr(regroot, "_damped_newton", no_solve)
+        monkeypatch.setattr(flow, "_damped_newton", no_solve)
+        code, _, err = self.run(
+            capsys, kind, "--config", str(CONFIGS / f"{kind}.json"),
+            "--out", str(tmp_path), "--set", f"{key}=-1",
+        )
+        assert code == 2
+        assert f"{key} must be a finite non-negative real, got -1.0" in err
+
+    @pytest.mark.parametrize(
+        "grid, shown",
+        [("[]", "epsilons must be non-empty"), ("[0.1, 0.0]", "every epsilon must be positive"),
+         ("[0.1, -0.01]", "every epsilon must be positive")],
+    )
+    def test_bad_noise_grid_exits_two_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, grid, shown
+    ):
+        # an empty grid passed noise-gap over 0 cells; a non-positive entry was
+        # refused only after the grid points before it were solved
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran on an invalid grid")
+
+        monkeypatch.setattr(regroot, "_damped_newton", no_solve)
+        code, _, err = self.run(
+            capsys, "noise-study", "--config", str(CONFIGS / "noise-study.json"),
+            "--out", str(tmp_path), "--set", f"epsilons={grid}", "--set", "b_exp=null",
+        )
+        assert code == 2
+        assert shown in err
+
+    def test_data_outside_the_range_exits_two_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a shifted solve ran on a problem with no solution")
+
+        monkeypatch.setattr(regroot, "reg_solve", no_solve)
+        code, _, err = self.run(
+            capsys, "reg-path", "--config", str(CONFIGS / "reg-path.json"),
+            "--out", str(tmp_path), "--set",
+            'problem={"linear": {"matrix": [[1, 0], [0, 0]], "data": [1, 1]}}',
+        )
+        assert code == 2
+        assert "known_solution does not reproduce the data (residual 1.000e+00)" in err
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("tol", ["-1", "0"])
     def test_nonpositive_newton_tol_exits_two(self, tmp_path, capsys, tol):
         code, _, err = self.run(

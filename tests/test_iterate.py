@@ -210,6 +210,15 @@ class TestRunIteration:
                 hilbert_linear, Schedule.oracle(), StepRule.constant_h(1.0), 3
             )
 
+    def test_negative_stop_residual_is_refused(self):
+        # no residual is below -1, so the run went on to max_n and reported unconverged
+        p = identity_problem(3, f=[1.0, 2.0, 3.0])
+        shown = r"^stop_residual must be a finite non-negative real, got -1\.0$"
+        with pytest.raises(ValueError, match=shown):
+            run_iteration(
+                p, Schedule.constant(0.1), StepRule.constant_h(0.5), 5, stop_residual=-1.0
+            )
+
 
 class TestMaxNArgument:
     # max_n=2.5 raised TypeError and True ran as one step; each runs in a

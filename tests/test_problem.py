@@ -134,6 +134,26 @@ class TestProblemInstance:
             ProblemInstance(dim=1, operator=lambda u: u, data=[0.0], m2_bound=bound)
         assert ProblemInstance(dim=1, operator=lambda u: u, data=[0.0], m2_bound=0.0).m2_bound == 0.0
 
+    def test_known_solution_is_checked_with_one_operator_evaluation(self):
+        calls = []
+
+        def op(u):
+            calls.append(u)
+            return u + u**3
+
+        p = ProblemInstance(dim=2, operator=op, data=[2.0, 0.0], known_solution=[1.0, 0.0])
+        np.testing.assert_array_equal(p.known_solution, [1.0, 0.0])
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="known_solution does not reproduce the data"):
+            ProblemInstance(dim=2, operator=op, data=[2.0, 0.0], known_solution=[2.0, 0.0])
+
+    def test_linear_data_outside_the_range_is_refused(self):
+        # without a given solution the lstsq one is stored, and it misses f = (1, 1)
+        m = np.diag([1.0, 0.0])
+        with pytest.raises(ValueError, match="residual 1.000e.00.*outside its matrix's range"):
+            ProblemInstance(dim=2, operator=lambda u: m @ u, data=[1.0, 1.0],
+                            jacobian=lambda u: m, is_linear=True)
+
 
 class TestApplyOperator:
     def test_identity(self):

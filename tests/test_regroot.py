@@ -157,6 +157,12 @@ class TestRegularizationPath:
             errs = [e.error_to_y for e in path.entries]
             assert all(b <= a * (1 + 1e-12) for a, b in zip(errs, errs[1:]))
 
+    def test_never_handed_a_problem_whose_solution_misses_the_data(self):
+        # diag(1, 0) u = (1, 1) has no solution; lstsq's (1, 0) solves nothing,
+        # so the path never reports errors to it
+        with pytest.raises(ValueError, match=r"reproduce the data \(residual 1\.000e\+00\)"):
+            regularization_path(diag_linear_problem([1.0, 0.0], [1.0, 1.0]), [1e-1, 1e-2])
+
     def test_consecutive_root_gaps_recorded(self, cubic):
         path = regularization_path(cubic, [1e-1, 1e-2, 1e-3])
         assert len(path.root_gaps) == 2
@@ -216,9 +222,9 @@ class TestMinimalNormSolution:
         np.testing.assert_array_equal(minimal_norm_solution(p), [1.0, 0.0])
 
     def test_stored_solution_must_reproduce_the_data(self, cubic):
-        wrong = dataclasses.replace(cubic, known_solution=2.0 * cubic.known_solution)
-        with pytest.raises(NumericalFailure, match="reproduce the data"):
-            minimal_norm_solution(wrong)
+        # construction checks the stored solution, so no problem carries a wrong one
+        with pytest.raises(ValueError, match="reproduce the data"):
+            dataclasses.replace(cubic, known_solution=2.0 * cubic.known_solution)
 
     def test_no_oracle_raises(self):
         p = ProblemInstance(
@@ -236,10 +242,9 @@ class TestMinimalNormSolution:
         assert np.max(np.abs(kernel.T @ y)) <= 1e-9
 
     def test_inconsistent_data_fails_loudly(self):
-        # f outside the range of M: no solution exists at all
-        p = diag_linear_problem([0.0, 1.0], [1.0, 0.0])
-        with pytest.raises(NumericalFailure):
-            minimal_norm_solution(p)
+        # f outside the range of M: no solution exists at all, so none is built
+        with pytest.raises(ValueError, match="outside its matrix's range"):
+            diag_linear_problem([0.0, 1.0], [1.0, 0.0])
 
 
 def svd_pinv_solution(m, f):
