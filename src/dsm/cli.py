@@ -101,7 +101,9 @@ def _run_flow(cfg: dict, out_dir: Path):
         rtol=cfg["rtol"],
         atol=cfg["atol"],
     )
-    root = regroot.solve_regularized(problem, eps)
+    # the root at s = exp(-t) = 0, started from the flow's curve extrapolated there
+    tail = [(math.exp(-t), u) for t, u in zip(traj.times[-3:], traj.states[-3:])]
+    root = regroot.solve_regularized(problem, eps, init=regroot._predict(tail, 0.0))
     rows, max_dev, max_gap_ratio = _flow_tables(traj, root.v, slack)
     g0 = float(traj.residuals[0])
     final_gap = norm(traj.states[-1] - root.v)
@@ -142,6 +144,7 @@ def _run_flow(cfg: dict, out_dir: Path):
 
 
 def _run_iterate(cfg: dict, out_dir: Path):
+    slack = _non_negative(cfg["slack"], "slack")
     problem = corpus.problem_from_dict(cfg["problem"])
     history = iterate.run_iteration(
         problem,
@@ -155,7 +158,7 @@ def _run_iterate(cfg: dict, out_dir: Path):
     tracked = history.steps[0].gap is not None
     checks = []
     if tracked and len(history.steps) >= 2:
-        report = iterate.verify_step_recursion(problem, history, slack=cfg["slack"])
+        report = iterate.verify_step_recursion(problem, history, slack=slack)
         checks.append(_check(CHECK_RECURSION_STEP, report.observed, report.bound))
     rows = [
         [s.index, s.epsilon, s.h, s.residual, s.gap, s.root_gap] for s in history.steps
@@ -231,7 +234,6 @@ def _run_reg_path(cfg: dict, out_dir: Path):
 
 
 def _run_noise_study(cfg: dict, out_dir: Path):
-    problem = corpus.problem_from_dict(cfg["problem"])
     deltas = cfg["deltas"]
     if len(deltas) == 0:
         raise ValueError("deltas must be non-empty")
@@ -246,12 +248,13 @@ def _run_noise_study(cfg: dict, out_dir: Path):
     if stopping:
         if any(b >= a for a, b in zip(deltas, deltas[1:])):
             raise ValueError("deltas must be strictly decreasing for the stopping study")
-        y = regroot.minimal_norm_solution(problem)
         columns += ["stop_gap", "stop_bound", "err_at_stop"]
     elif len(cfg["epsilons"]) == 0:
         raise ValueError("epsilons must be non-empty")
     elif any(not eps > 0.0 for eps in cfg["epsilons"]):
         raise ValueError("every epsilon must be positive")
+    problem = corpus.problem_from_dict(cfg["problem"])
+    y = regroot.minimal_norm_solution(problem) if stopping else None
 
     clean = {}  # eps -> clean regularized root, solved cold once per distinct eps
     runs = []

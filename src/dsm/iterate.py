@@ -33,7 +33,7 @@ from .problem import (
     as_vector,
     norm,
 )
-from .regroot import RegRoot, _newton_direction, _residual, solve_regularized
+from .regroot import RegRoot, _newton_direction, _predict, _residual, solve_regularized
 
 __all__ = [
     "StepRule",
@@ -208,30 +208,6 @@ def _curvature_constant(problem: ProblemInstance) -> float:
     if problem.m2_bound is None:
         raise ValueError("oracle schedule needs the problem's curvature bound")
     return 0.5 * problem.m2_bound
-
-
-def _predict(known: list[tuple[float, np.ndarray]], eps: float) -> Optional[np.ndarray]:
-    """Start of the root solve at eps, from roots ``(eps_i, V_i)`` already known.
-
-    The Lagrange polynomial in eps through the (at most) three known roots
-    nearest eps, one per eps value, the latest of equal ones; a quadratic
-    predictor on the root curve ``eps -> V_eps``.  None when none is known.
-    """
-    nodes: dict[float, np.ndarray] = {}
-    for e, v in sorted(reversed(known), key=lambda point: abs(point[0] - eps)):
-        nodes.setdefault(e, v)
-        if len(nodes) == 3:
-            break
-    if not nodes:
-        return None
-    weights = []  # plain loops: a comprehension costs more than the arithmetic here
-    for e in nodes:
-        w = 1.0
-        for x in nodes:
-            if x != e:
-                w *= (eps - x) / (e - x)
-        weights.append(w)
-    return np.dot(weights, list(nodes.values()))
 
 
 def _oracle_epsilon(

@@ -62,6 +62,30 @@ def _newton_direction(
     return reg_solve(jacobian(problem, u), epsilon, res).solution
 
 
+def _predict(known: list[tuple[float, np.ndarray]], eps: float) -> Optional[np.ndarray]:
+    """Start of the root solve at eps, from roots ``(eps_i, V_i)`` already known.
+
+    The Lagrange polynomial in eps through the (at most) three known roots
+    nearest eps, one per eps value, the latest of equal ones; a quadratic
+    predictor on the root curve ``eps -> V_eps``.  None when none is known.
+    """
+    nodes: dict[float, np.ndarray] = {}
+    for e, v in sorted(reversed(known), key=lambda point: abs(point[0] - eps)):
+        nodes.setdefault(e, v)
+        if len(nodes) == 3:
+            break
+    if not nodes:
+        return None
+    weights = []  # plain loops: a comprehension costs more than the arithmetic here
+    for e in nodes:
+        w = 1.0
+        for x in nodes:
+            if x != e:
+                w *= (eps - x) / (e - x)
+        weights.append(w)
+    return np.dot(weights, list(nodes.values()))
+
+
 @dataclass(frozen=True)
 class RegRoot:
     """One regularized root, with the residual it achieved.

@@ -68,6 +68,47 @@ class TestRunExperiment:
         assert decay["pass"], decay
         assert report["checks_pass"]
 
+    def test_shipped_flow_predicts_its_checkpoints_and_its_root(self, tmp_path):
+        # started from the previous state and from 0, they took 30 and 7 Newton steps
+        metrics = run_experiment(load_config("flow.json"), tmp_path)["runs"][0]["metrics"]
+        assert metrics["rhs_evals"] < 30
+        assert metrics["root_newton_iters"] < 7
+
+    @pytest.mark.parametrize("t_end", [None, 20.0])
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            {"corpus": "cubic-monotone", "dim": 50},
+            {"corpus": "psd-singular-linear", "dim": 50},
+            {"corpus": "random-monotone", "dim": 20},
+            {"corpus": "hilbert-psd"},
+        ],
+        ids=lambda problem: problem["corpus"],
+    )
+    def test_reference_root_starts_on_the_flow_and_agrees_with_a_cold_root(
+        self, tmp_path, monkeypatch, problem, t_end
+    ):
+        calls = []
+        solve = regroot.solve_regularized
+
+        def recording(*args, **kwargs):
+            calls.append((kwargs.get("init"), solve(*args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(regroot, "solve_regularized", recording)
+        eps = 0.01
+        run_experiment(
+            {"kind": "flow", "problem": problem, "epsilon": eps, "t_end": t_end}, tmp_path
+        )
+        monkeypatch.undo()
+        [(init, root)] = calls
+        assert init is not None
+        # B + eps I is eps-strongly monotone: each lies within |F|/eps of the one root
+        p = corpus.problem_from_dict(problem)
+        cold = regroot.solve_regularized(p, eps)
+        radius = sum(flow.residual_value(p, eps, v) for v in (root.v, cold.v)) / eps
+        assert norm(root.v - cold.v) <= radius
+
     def test_report_is_byte_reproducible(self, tmp_path):
         cfg = load_config("flow.json")
         run_experiment(dict(cfg), tmp_path / "a")
@@ -359,6 +400,53 @@ class TestCliEntryPoint:
         )
         assert code == 2
         assert shown in err
+
+    def test_negative_iterate_slack_exits_two_before_any_step(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # with no roots recorded there is no recursion check, and it exited 0
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a shifted solve ran on an invalid configuration")
+
+        monkeypatch.setattr(regroot, "reg_solve", no_solve)
+        code, _, err = self.run(
+            capsys, "iterate", "--config", str(CONFIGS / "iterate.json"),
+            "--out", str(tmp_path),
+            "--set", 'schedule={"kind": "constant", "epsilon": 0.1}',
+            "--set", "record_roots=false", "--set", "slack=-1",
+        )
+        assert code == 2
+        assert "slack must be a finite non-negative real, got -1.0" in err
+
+    @pytest.mark.parametrize(
+        "overrides, shown",
+        [
+            (["deltas=[]"], "deltas must be non-empty"),
+            (["deltas=[0.1, 1.5]"], "every delta must lie in (0, 1)"),
+            (["slack=-1"], "slack must be a finite non-negative real"),
+            (["epsilons=[0.1]"], "provide exactly one of"),
+            (["deltas=[0.001, 0.01]"], "deltas must be strictly decreasing"),
+            (["epsilons=[]", "b_exp=null"], "epsilons must be non-empty"),
+            (["epsilons=[0.1, 0.0]", "b_exp=null"], "every epsilon must be positive"),
+        ],
+        ids=["no-delta", "delta-outside", "slack", "both-rules", "increasing", "no-eps",
+             "zero-eps"],
+    )
+    def test_refused_noise_study_builds_no_problem(
+        self, tmp_path, capsys, monkeypatch, overrides, shown
+    ):
+        # the problem was built first: a d2000 build before the exit 2
+        builds = []
+        monkeypatch.setattr(corpus, "problem_from_dict", builds.append)
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        code, _, err = self.run(
+            capsys, "noise-study", "--config", str(CONFIGS / "noise-study.json"),
+            "--out", str(tmp_path),
+            "--set", 'problem={"corpus": "psd-singular-linear", "dim": 2000}', *sets,
+        )
+        assert code == 2
+        assert shown in err
+        assert builds == []
 
     def test_data_outside_the_range_exits_two_before_any_solve(self, tmp_path, capsys, monkeypatch):
         def no_solve(*args, **kwargs):

@@ -11,6 +11,7 @@ from dsm import (
     default_newton_tol,
     integrate_flow,
     jacobian,
+    make_psd_singular_linear,
     minimal_norm_solution,
     norm,
     regroot,
@@ -21,7 +22,8 @@ from dsm import (
     stopping_time,
 )
 
-from dsm.flow import MAX_CHECKPOINTS
+from dsm.flow import MAX_CHECKPOINTS, ROUNDOFF_FACTOR
+from dsm.regroot import _predict
 
 from conftest import capped_outcome, identity_problem
 
@@ -109,6 +111,33 @@ class TestHomotopyLaw:
         short = integrate_flow(cubic, 1e-2, 5.0)
         long = integrate_flow(cubic, 1e-2, 100.0)
         assert long.rhs_evals <= short.rhs_evals
+
+    def test_linear_flow_to_its_stopping_time_takes_two_shifted_solves(self):
+        # on a linear problem the curve s -> u(s), s = exp(-t), is affine, so
+        # once two points are known the predicted start is the checkpoint
+        # (each start from the previous state took 10 shifted solves in all)
+        p = make_psd_singular_linear(50)
+        traj = integrate_flow(p, 1e-2, stopping_time(1e-2))
+        assert 0 < traj.rhs_evals <= 2
+
+    def test_each_checkpoint_meets_its_floored_tolerance_at_t_end_20(self, all_problems):
+        # |F(u_k) - r_k| <= rtol |r_k| + floor_k with the roundoff floor
+        # floor_k = c sqrt(n) u (|f + r_k| + eps |start_k|), start_k predicted
+        # from the states before it; atol (1e-10) lies above every floor here
+        eps, rtol = 1e-2, 1e-8
+        for p in all_problems:
+            unit = ROUNDOFF_FACTOR * math.sqrt(p.dim) * np.finfo(float).eps
+            traj = integrate_flow(p, eps, 20.0)
+            res0 = apply_operator(p, traj.states[0]) + eps * traj.states[0] - p.data
+            known = [(1.0, traj.states[0])]
+            for t, u in zip(traj.times[1:], traj.states[1:]):
+                s = math.exp(-t)
+                r = s * res0
+                start = _predict(known[-3:], s)
+                floor = unit * (norm(p.data + r) + eps * norm(start))
+                miss = norm(apply_operator(p, u) + eps * u - (p.data + r))
+                assert miss <= rtol * norm(r) + floor, (p.name, t)
+                known.append((s, u))
 
 
 class TestResidualValue:
