@@ -30,7 +30,9 @@ import numpy as np
 
 from . import corpus, flow, iterate, recursion, regroot
 from .flow import MAX_CHECKPOINTS
-from .problem import OPTIONAL, REQUIRED, NumericalFailure, _coerce, _non_negative, inner, norm
+from .problem import (
+    OPTIONAL, REQUIRED, NumericalFailure, _as_count, _coerce, _non_negative, _positive, inner, norm
+)
 
 __all__ = ["run_experiment", "emit_table", "main"]
 
@@ -85,21 +87,22 @@ def _flow_tables(traj, root_v, slack):
     return rows, max_dev, max_gap_ratio
 
 
+def _flow_tolerances(cfg: dict) -> None:
+    """Refuse the flow's tolerances before a problem is built."""
+    _as_count(cfg["checkpoints"], "checkpoints", cap=MAX_CHECKPOINTS)
+    _positive(cfg["rtol"], "rtol")
+
+
 def _run_flow(cfg: dict, out_dir: Path):
     decay_tol = _non_negative(cfg["decay_tol"], "decay_tol")
     slack = _non_negative(cfg["slack"], "slack")
-    problem = corpus.problem_from_dict(cfg["problem"])
+    _flow_tolerances(cfg)
     eps = cfg["epsilon"]
     at_stopping = cfg["t_end"] is None
     t_end = flow.stopping_time(eps) if at_stopping else cfg["t_end"]
+    problem = corpus.problem_from_dict(cfg["problem"])
     traj = flow.integrate_flow(
-        problem,
-        eps,
-        t_end,
-        checkpoints=cfg["checkpoints"],
-        u0=cfg["u0"],
-        rtol=cfg["rtol"],
-        atol=cfg["atol"],
+        problem, eps, t_end, checkpoints=cfg["checkpoints"], u0=cfg["u0"], rtol=cfg["rtol"]
     )
     # the root at s = exp(-t) = 0, started from the flow's curve extrapolated there
     tail = [(math.exp(-t), u) for t, u in zip(traj.times[-3:], traj.states[-3:])]
@@ -189,7 +192,7 @@ def _run_reg_path(cfg: dict, out_dir: Path):
     norm_slack = _non_negative(cfg["norm_slack"], "norm_slack")
     inner_slack = _non_negative(cfg["inner_slack"], "inner_slack")
     problem = corpus.problem_from_dict(cfg["problem"])
-    path = regroot.regularization_path(problem, cfg["epsilons"], newton_tol=cfg["newton_tol"])
+    path = regroot.regularization_path(problem, cfg["epsilons"])
     y = problem.known_solution
 
     rows = []
@@ -248,6 +251,8 @@ def _run_noise_study(cfg: dict, out_dir: Path):
     if stopping:
         if any(b >= a for a, b in zip(deltas, deltas[1:])):
             raise ValueError("deltas must be strictly decreasing for the stopping study")
+        flow._in_unit_interval(b_exp, "b_exp")
+        _flow_tolerances(cfg)
         columns += ["stop_gap", "stop_bound", "err_at_stop"]
     elif len(cfg["epsilons"]) == 0:
         raise ValueError("epsilons must be non-empty")
@@ -267,13 +272,7 @@ def _run_noise_study(cfg: dict, out_dir: Path):
         epsilons = cfg["epsilons"]
         if stopping:
             result = flow.solve_noisy_to_stopping(
-                problem,
-                f_noisy,
-                delta,
-                b_exp,
-                checkpoints=cfg["checkpoints"],
-                rtol=cfg["rtol"],
-                atol=cfg["atol"],
+                problem, f_noisy, delta, b_exp, checkpoints=cfg["checkpoints"], rtol=cfg["rtol"]
             )
             epsilons = [result.epsilon_used]
         for eps in epsilons:
@@ -422,7 +421,6 @@ _FLOW_TOLERANCES = {
     # capped here too: noise-study's grid mode never passes checkpoints to the library
     "checkpoints": (int, 10, MAX_CHECKPOINTS),
     "rtol": (float, 1e-8),
-    "atol": (float, 1e-10),
 }
 _FLOW_FIELDS = {
     "problem": (dict, REQUIRED),
@@ -448,7 +446,6 @@ _ITERATE_FIELDS = {
 _REG_PATH_FIELDS = {
     "problem": (dict, REQUIRED),
     "epsilons": ([float], REQUIRED),
-    "newton_tol": ((float, None), None),
     "norm_slack": (float, 1e-8),
     "inner_slack": (float, 1e-9),
     "seed": (int, 0),
@@ -517,7 +514,7 @@ def run_experiment(config: dict, out_dir) -> dict:
     }
     if problem is not None:
         # describe the instance the runner built; the matrix goes in as a hash
-        report["problem"] = corpus._describe(cfg["problem"], problem, full_matrix=False)
+        report["problem"] = corpus._describe(cfg["problem"], problem)
     (out_dir / csv_name).write_text(_csv(table["columns"], table["rows"]))
 
     (out_dir / "report.json").write_text(

@@ -43,7 +43,6 @@ from .problem import (
 )
 
 __all__ = [
-    "corpus_names",
     "make_problem",
     "make_psd_singular_linear",
     "make_hilbert_psd",
@@ -51,7 +50,6 @@ __all__ = [
     "make_random_monotone",
     "add_noise",
     "problem_from_dict",
-    "describe_problem",
 ]
 
 
@@ -176,10 +174,6 @@ _FACTORIES = {
 }
 
 
-def corpus_names() -> list[str]:
-    return list(_FACTORIES)
-
-
 def make_problem(name: str, **kwargs) -> ProblemInstance:
     """Build a corpus problem by name; kwargs go to its factory, dim <= MAX_DIM.
 
@@ -260,21 +254,12 @@ def problem_from_dict(spec: dict) -> ProblemInstance:
     raise ValueError("problem specification needs a 'corpus' or 'linear' entry")
 
 
-def describe_problem(spec: dict) -> dict:
-    """JSON-ready description of a problem specification.
+def _describe(spec: dict, problem: ProblemInstance) -> dict:
+    """JSON-ready description of an already built ``problem`` of ``spec``.
 
     Echoes the specification and adds what reproduction needs: the
-    dimension, the data vector, and for linear problems the full matrix.
-    """
-    return _describe(spec, problem_from_dict(spec), full_matrix=True)
-
-
-def _describe(spec: dict, problem: ProblemInstance, full_matrix: bool) -> dict:
-    """Describe an already built ``problem`` of ``spec``.
-
-    A linear problem's matrix goes in as ``matrix`` (nested lists) when
-    ``full_matrix`` is set, and otherwise as ``matrix_sha256``, the
-    SHA-256 of its C-contiguous float64 bytes.
+    dimension and the data vector, and for a linear problem its matrix as
+    ``matrix_sha256``, the SHA-256 of its C-contiguous float64 bytes.
     """
     out = {
         "spec": spec,
@@ -289,8 +274,5 @@ def _describe(spec: dict, problem: ProblemInstance, full_matrix: bool) -> dict:
         out["known_solution"] = problem.known_solution.tolist()
     if problem.is_linear:
         m = np.ascontiguousarray(jacobian(problem, np.zeros(problem.dim)), dtype=np.float64)
-        if full_matrix:
-            out["matrix"] = m.tolist()
-        else:
-            out["matrix_sha256"] = hashlib.sha256(m.tobytes()).hexdigest()
+        out["matrix_sha256"] = hashlib.sha256(m.tobytes()).hexdigest()
     return out

@@ -23,7 +23,6 @@ from .regroot import NEWTON_CAP, _damped_newton, _predict, _residual
 
 __all__ = [
     "FlowResult",
-    "residual_value",
     "stopping_time",
     "integrate_flow",
     "StoppingResult",
@@ -36,13 +35,12 @@ MAX_CHECKPOINTS = 1000  # integrate_flow holds (checkpoints + 1) x dim states
 ROUNDOFF_FACTOR = 16.0  # c of each checkpoint's roundoff floor; see integrate_flow
 
 
-def residual_value(
-    problem: ProblemInstance, epsilon: float, u: np.ndarray, f_override=None
-) -> float:
-    """Regularized residual norm |B(u) + eps*u - f| at a single point."""
-    epsilon = _positive(epsilon, "epsilon")
-    f_active = problem.data if f_override is None else as_vector(f_override, problem.dim, "f")
-    return norm(_residual(problem, epsilon, u, f_active))
+def _in_unit_interval(value, name: str) -> float:
+    """A real in (0, 1) as a float."""
+    value = _positive(value, name)
+    if not value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+    return value
 
 
 def stopping_time(epsilon: float) -> float:
@@ -162,7 +160,6 @@ def solve_to_stopping(
     u0=None,
     f_override=None,
     rtol: float = 1e-8,
-    atol: float = 1e-10,
 ) -> StoppingResult:
     """Run the flow, on ``f_override`` if given, up to t = stopping_time(epsilon).
 
@@ -172,7 +169,7 @@ def solve_to_stopping(
     """
     traj = integrate_flow(
         problem, epsilon, stopping_time(epsilon), checkpoints=checkpoints, u0=u0,
-        f_override=f_override, rtol=rtol, atol=atol,
+        f_override=f_override, rtol=rtol,
     )
     return StoppingResult(u_final=traj.states[-1], trajectory=traj)
 
@@ -193,7 +190,6 @@ def solve_noisy_to_stopping(
     b_exp: float,
     checkpoints: int = 10,
     rtol: float = 1e-8,
-    atol: float = 1e-10,
 ) -> NoisyStoppingResult:
     """Run the flow on noisy data with the coupled choice eps = delta**b_exp.
 
@@ -202,14 +198,6 @@ def solve_noisy_to_stopping(
     to the minimal-norm solution.
     """
     f_noisy = as_vector(f_noisy, problem.dim, "f_noisy")
-    delta = _positive(delta, "delta")
-    if not delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    b_exp = _positive(b_exp, "b_exp")
-    if not b_exp < 1.0:
-        raise ValueError(f"b_exp must lie in (0, 1), got {b_exp!r}")
-    eps = delta**b_exp
-    res = solve_to_stopping(
-        problem, eps, checkpoints=checkpoints, f_override=f_noisy, rtol=rtol, atol=atol
-    )
+    eps = _in_unit_interval(delta, "delta") ** _in_unit_interval(b_exp, "b_exp")
+    res = solve_to_stopping(problem, eps, checkpoints=checkpoints, f_override=f_noisy, rtol=rtol)
     return NoisyStoppingResult(w_final=res.u_final, epsilon_used=eps, trajectory=res.trajectory)

@@ -41,7 +41,6 @@ __all__ = [
     "Schedule",
     "IterationStep",
     "IterationHistory",
-    "iterate_step",
     "run_iteration",
     "StepBoundRecord",
     "RecursionReport",
@@ -190,20 +189,6 @@ class IterationHistory:
     @property
     def residuals(self) -> np.ndarray:
         return np.array([s.residual for s in self.steps])
-
-
-def iterate_step(
-    problem: ProblemInstance,
-    u_n: np.ndarray,
-    eps_n: float,
-    h_n: float,
-) -> np.ndarray:
-    """One damped regularized Newton step from u_n."""
-    eps_n = _positive(eps_n, "eps_n")
-    h_n = _check_h(h_n)
-    u_n = as_vector(u_n, problem.dim, "u_n")
-    res = _residual(problem, eps_n, u_n, problem.data)
-    return u_n - h_n * _newton_direction(problem, eps_n, u_n, res)
 
 
 def _curvature_constant(problem: ProblemInstance) -> float:

@@ -197,7 +197,6 @@ class RegPathResult:
 def regularization_path(
     problem: ProblemInstance,
     epsilons: Sequence[float],
-    newton_tol: float | None = None,
 ) -> RegPathResult:
     """Solve the regularized equation along a strictly decreasing eps grid.
 
@@ -217,7 +216,7 @@ def regularization_path(
     entries: list[RegPathEntry] = []
     prev_v: np.ndarray | None = None
     for eps in eps_list:
-        root = solve_regularized(problem, eps, init=prev_v, newton_tol=newton_tol)
+        root = solve_regularized(problem, eps, init=prev_v)
         entries.append(
             RegPathEntry(
                 epsilon=eps,

@@ -16,6 +16,7 @@ from dsm import (
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+CORPUS_NAMES = ("psd-singular-linear", "hilbert-psd", "cubic-monotone", "random-monotone")
 
 
 def run_capped(script: str) -> str:

@@ -13,10 +13,18 @@ import pytest
 from dsm import NumericalFailure, corpus, emit_table, flow, main, regroot, run_experiment
 from dsm.cli import _EXPERIMENTS
 from dsm.corpus import OPTIONAL, REQUIRED
-from dsm.problem import inner, norm
+from dsm.problem import apply_operator, inner, norm
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+# a reg-path whose one shifted solve is singular to working precision
+SINGULAR_REG_PATH = {
+    "kind": "reg-path",
+    "problem": {"corpus": "cubic-monotone", "dim": 50},
+    "epsilons": [1e-10],
+}
 
 
 def load_config(name):
@@ -106,7 +114,9 @@ class TestRunExperiment:
         # B + eps I is eps-strongly monotone: each lies within |F|/eps of the one root
         p = corpus.problem_from_dict(problem)
         cold = regroot.solve_regularized(p, eps)
-        radius = sum(flow.residual_value(p, eps, v) for v in (root.v, cold.v)) / eps
+        radius = sum(
+            norm(apply_operator(p, v) + eps * v - p.data) for v in (root.v, cold.v)
+        ) / eps
         assert norm(root.v - cold.v) <= radius
 
     def test_report_is_byte_reproducible(self, tmp_path):
@@ -132,11 +142,9 @@ class TestRunExperiment:
             run_experiment({"kind": "flow"}, tmp_path)
 
     def test_numerical_failure_propagates(self, tmp_path):
-        cfg = load_config("flow.json")
-        cfg["rtol"] = 1e-300
-        cfg["atol"] = 1e-320
-        with pytest.raises(NumericalFailure):
-            run_experiment(cfg, tmp_path)
+        # the shifted solve at eps 1e-10 misses its tolerance 1.6e-9 by a factor of 2000
+        with pytest.raises(NumericalFailure, match="residual 3.179e-06 > tolerance 1.646e-09"):
+            run_experiment(SINGULAR_REG_PATH, tmp_path)
 
     def test_trajectory_wire_format(self, tmp_path):
         run_experiment(load_config("flow.json"), tmp_path)
@@ -175,7 +183,11 @@ class TestRunExperiment:
         report = run_experiment(load_config("reg-path.json"), tmp_path)
         block = json.loads((tmp_path / "report.json").read_text())["problem"]
         assert block == report["problem"]
+        assert block["spec"] == {"corpus": "psd-singular-linear"}
         assert block["name"] == "psd-singular-linear"
+        assert block["dim"] == 8
+        assert block["is_linear"]
+        assert "is_strictly_monotone" not in block and "m1_bound" not in block
         assert "matrix" not in block
         rebuilt = corpus.problem_from_dict(block["spec"])
         matrix = np.ascontiguousarray(rebuilt.jacobian(np.zeros(rebuilt.dim)), dtype=np.float64)
@@ -200,6 +212,8 @@ class TestRunExperiment:
         assert report["problem"]["name"] == "cubic-monotone"
         assert "matrix" not in report["problem"]
         assert "matrix_sha256" not in report["problem"]
+        assert report["problem"]["m2_bound"] == pytest.approx(6.0 * (5.0 + norm(np.ones(10))))
+        assert len(report["problem"]["data"]) == 10
 
     def test_each_experiment_builds_its_problem_once(self, tmp_path, monkeypatch):
         builds = []
@@ -276,6 +290,45 @@ class TestRunExperiment:
         assert by_name["noise-convergence"]["bound"] == math.nextafter(1.0, 0.0)
         assert by_name["noise-convergence"]["bound"] < 1.0
         assert by_name["noisy-stopping-gap"]["observed"] <= 1.05
+
+    def test_noise_gap_observes_the_linear_gap_ratio(self, tmp_path):
+        # on a linear problem the noisy and clean roots differ by
+        # (A + eps I)^{-1} (f_delta - f), solved here by numpy alone
+        cfg = {
+            "kind": "noise-study",
+            "problem": {"corpus": "psd-singular-linear", "dim": 50},
+            "deltas": [0.01, 0.001],
+            "epsilons": [0.1, 0.01, 0.001],
+        }
+        report = run_experiment(cfg, tmp_path)
+        (check,) = report["runs"][0]["checks"]
+        assert check["check"] == "noise-gap"
+        problem = corpus.problem_from_dict(cfg["problem"])
+        a = problem.jacobian(np.zeros(problem.dim))
+        ratios = []
+        for i, delta in enumerate(cfg["deltas"]):
+            shift = corpus.add_noise(problem.data, delta, i) - problem.data
+            for eps in cfg["epsilons"]:
+                gap = norm(np.linalg.solve(a + eps * np.eye(problem.dim), shift))
+                ratios.append(gap * eps / delta)
+        assert check["observed"] == pytest.approx(max(ratios), rel=1e-9)
+
+    @pytest.mark.parametrize("eps", [0.01, 0.1])
+    def test_flow_limit_gap_observes_the_linear_flow_ratio(self, tmp_path, eps):
+        # from u0 = 0 a linear flow is u(t) = (1 - exp(-t)) V, so at every t
+        # |u(t) - V| eps / (g0 exp(-t)) is eps |V| / |f|
+        cfg = {
+            "kind": "flow",
+            "problem": {"corpus": "psd-singular-linear", "dim": 50},
+            "epsilon": eps,
+        }
+        report = run_experiment(cfg, tmp_path)
+        checks = {c["check"]: c for c in report["runs"][0]["checks"]}
+        problem = corpus.problem_from_dict(cfg["problem"])
+        a = problem.jacobian(np.zeros(problem.dim))
+        v = np.linalg.solve(a + eps * np.eye(problem.dim), problem.data)
+        expected = eps * norm(v) / norm(problem.data)
+        assert checks["flow-limit-gap"]["observed"] == pytest.approx(expected, rel=1e-9)
 
 
 class TestCliEntryPoint:
@@ -428,9 +481,12 @@ class TestCliEntryPoint:
             (["deltas=[0.001, 0.01]"], "deltas must be strictly decreasing"),
             (["epsilons=[]", "b_exp=null"], "epsilons must be non-empty"),
             (["epsilons=[0.1, 0.0]", "b_exp=null"], "every epsilon must be positive"),
+            (["b_exp=1.5"], "b_exp must lie in (0, 1), got 1.5"),
+            (["rtol=0"], "rtol must be a positive finite real, got 0.0"),
+            (["checkpoints=0"], "checkpoints must be an integer in [1, 1000], got 0"),
         ],
         ids=["no-delta", "delta-outside", "slack", "both-rules", "increasing", "no-eps",
-             "zero-eps"],
+             "zero-eps", "b-exp-outside", "rtol", "checkpoints"],
     )
     def test_refused_noise_study_builds_no_problem(
         self, tmp_path, capsys, monkeypatch, overrides, shown
@@ -443,6 +499,27 @@ class TestCliEntryPoint:
             capsys, "noise-study", "--config", str(CONFIGS / "noise-study.json"),
             "--out", str(tmp_path),
             "--set", 'problem={"corpus": "psd-singular-linear", "dim": 2000}', *sets,
+        )
+        assert code == 2
+        assert shown in err
+        assert builds == []
+
+    @pytest.mark.parametrize(
+        "override, shown",
+        [
+            ("decay_tol=-1", "decay_tol must be a finite non-negative real"),
+            ("rtol=0", "rtol must be a positive finite real, got 0.0"),
+            ("checkpoints=0", "checkpoints must be an integer in [1, 1000], got 0"),
+            ("epsilon=2", "epsilon must lie in (0, 1) for a positive horizon, got 2.0"),
+        ],
+        ids=["decay-tol", "rtol", "checkpoints", "epsilon"],
+    )
+    def test_refused_flow_builds_no_problem(self, tmp_path, capsys, monkeypatch, override, shown):
+        builds = []
+        monkeypatch.setattr(corpus, "problem_from_dict", builds.append)
+        code, _, err = self.run(
+            capsys, "flow", "--config", str(CONFIGS / "flow.json"), "--out", str(tmp_path),
+            "--set", 'problem={"corpus": "cubic-monotone", "dim": 2000}', "--set", override,
         )
         assert code == 2
         assert shown in err
@@ -462,30 +539,27 @@ class TestCliEntryPoint:
         assert "known_solution does not reproduce the data (residual 1.000e+00)" in err
         assert not (tmp_path / "report.json").exists()
 
-    @pytest.mark.parametrize("tol", ["-1", "0"])
-    def test_nonpositive_newton_tol_exits_two(self, tmp_path, capsys, tol):
+    @pytest.mark.parametrize(
+        "kind, knob",
+        [("flow", "atol=1e-10"), ("noise-study", "atol=1e-10"), ("reg-path", "newton_tol=1e-12")],
+    )
+    def test_removed_tolerance_knobs_exit_two(self, tmp_path, capsys, kind, knob):
         code, _, err = self.run(
-            capsys, "reg-path", "--config", str(CONFIGS / "reg-path.json"),
-            "--out", str(tmp_path), "--set", f"newton_tol={tol}",
+            capsys, kind, "--config", str(CONFIGS / f"{kind}.json"),
+            "--out", str(tmp_path), "--set", knob,
         )
         assert code == 2
-        assert "newton_tol must be a positive finite real" in err
+        assert f"unknown experiment {kind!r} options ['{knob.split('=')[0]}']" in err
 
     def test_numerical_failure_exits_three(self, tmp_path, capsys):
+        config = tmp_path / "singular.json"
+        config.write_text(json.dumps(SINGULAR_REG_PATH))
         code, _, err = self.run(
-            capsys,
-            "flow",
-            "--config",
-            str(CONFIGS / "flow.json"),
-            "--out",
-            str(tmp_path),
-            "--set",
-            "rtol=1e-300",
-            "--set",
-            "atol=1e-320",
+            capsys, "reg-path", "--config", str(config), "--out", str(tmp_path / "out")
         )
         assert code == 3
         assert "numerical failure" in err
+        assert "residual 3.179e-06 > tolerance 1.646e-09" in err
 
     def test_dotted_override_and_seed(self, tmp_path, capsys):
         code, out, _ = self.run(

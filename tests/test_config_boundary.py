@@ -38,14 +38,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 KINDS = ("flow", "iterate", "reg-path", "noise-study", "lemma-sim")
 
 _PROBLEM = ["problem", "problem.corpus", "problem.dim", "problem.seed", "problem.radius"]
-_FLOW_TOLERANCES = ["checkpoints", "rtol", "atol"]
+_FLOW_TOLERANCES = ["checkpoints", "rtol"]
 FIELDS = {
     "flow": _PROBLEM
     + ["epsilon", "t_end", *_FLOW_TOLERANCES, "decay_tol", "slack", "u0", "seed"],
     "iterate": _PROBLEM
     + ["schedule", "schedule.kind", "schedule.floor", "step_rule", "step_rule.kind"]
     + ["step_rule.p", "max_n", "stop_residual", "record_roots", "slack", "u0", "seed"],
-    "reg-path": _PROBLEM + ["epsilons", "newton_tol", "norm_slack", "inner_slack", "seed"],
+    "reg-path": _PROBLEM + ["epsilons", "norm_slack", "inner_slack", "seed"],
     "noise-study": _PROBLEM
     + ["deltas", "epsilons", "b_exp", "slack", *_FLOW_TOLERANCES, "seed"],
     "lemma-sim": ["a", "b", "b.kind", "b.scale", "b.exponent", "horizon", "g1", "slack", "seed"],
@@ -61,7 +61,7 @@ TYPES = {
     "corpus": "string", "kind": "string", "record_roots": "bool",
     "dim": "int", "seed": "int", "checkpoints": "int", "max_n": "int", "horizon": "int",
     "deltas": "list", "epsilons": "list", "u0": "list?", "a": "sequence", "b": "sequence",
-    "t_end": "number?", "stop_residual": "number?", "newton_tol": "number?", "b_exp": "number?",
+    "t_end": "number?", "stop_residual": "number?", "b_exp": "number?",
 }
 HUGE = (10**9, 10**400, math.inf)
 

@@ -8,8 +8,7 @@ from dsm import (
     add_noise,
     apply_operator,
     check_monotonicity,
-    corpus_names,
-    describe_problem,
+    corpus,
     inner,
     jacobian,
     make_problem,
@@ -18,7 +17,7 @@ from dsm import (
     taylor_remainder_check,
 )
 
-from conftest import run_capped
+from conftest import CORPUS_NAMES, run_capped
 
 
 @pytest.mark.parametrize(
@@ -42,9 +41,9 @@ def huge_dim_outcomes(call: str) -> list[str]:
     ``conftest.run_capped``); return each outcome as text."""
     script = (
         "import json\n"
-        "from dsm import corpus, corpus_names, make_problem\n"
+        "from dsm import corpus, make_problem\n"
         "out = []\n"
-        "for name in corpus_names():\n"
+        f"for name in {CORPUS_NAMES!r}:\n"
         "    try:\n"
         f"        {call}\n"
         "        out.append('returned')\n"
@@ -57,15 +56,10 @@ def huge_dim_outcomes(call: str) -> list[str]:
 
 class TestFactories:
     def test_names_and_shapes(self):
-        names = corpus_names()
-        assert names == [
-            "psd-singular-linear",
-            "hilbert-psd",
-            "cubic-monotone",
-            "random-monotone",
-        ]
+        # the test suite's list is the whole corpus
+        assert set(corpus._FACTORIES) == set(CORPUS_NAMES)
         dims = {"psd-singular-linear": 8, "hilbert-psd": 12, "cubic-monotone": 10, "random-monotone": 10}
-        for name in names:
+        for name in CORPUS_NAMES:
             p = make_problem(name)
             assert p.name == name
             assert p.dim == dims[name]
@@ -86,7 +80,7 @@ class TestFactories:
 
     def test_dim_cap_checked_before_the_factory_allocates(self):
         outcomes = huge_dim_outcomes("make_problem(name, dim=10**7)")
-        for name, outcome in zip(corpus_names(), outcomes):
+        for name, outcome in zip(CORPUS_NAMES, outcomes):
             assert outcome == (
                 f"ValueError: dimension 10000000 exceeds supported maximum {MAX_DIM}"
             ), name
@@ -94,7 +88,7 @@ class TestFactories:
     def test_each_factory_checks_the_dim_cap_itself(self):
         # make_psd_singular_linear, make_hilbert_psd, ... called directly
         outcomes = huge_dim_outcomes("getattr(corpus, 'make_' + name.replace('-', '_'))(dim=10**7)")
-        for name, outcome in zip(corpus_names(), outcomes):
+        for name, outcome in zip(CORPUS_NAMES, outcomes):
             assert outcome == (
                 f"ValueError: dimension 10000000 exceeds supported maximum {MAX_DIM}"
             ), name
@@ -296,26 +290,3 @@ class TestProblemFromDict:
             problem_from_dict("cubic-monotone")
 
 
-class TestDescribeProblem:
-    def test_corpus_description_round_trips(self):
-        spec = {"corpus": "psd-singular-linear"}
-        desc = describe_problem(spec)
-        assert desc["spec"] == spec
-        assert desc["name"] == "psd-singular-linear"
-        assert desc["dim"] == 8
-        assert desc["is_linear"]
-        assert "is_strictly_monotone" not in desc and "m1_bound" not in desc
-        rebuilt = problem_from_dict(
-            {"linear": {"matrix": desc["matrix"], "data": desc["data"]}}
-        )
-        p = problem_from_dict(spec)
-        u = np.linspace(0.0, 1.0, 8)
-        np.testing.assert_allclose(
-            apply_operator(rebuilt, u), apply_operator(p, u), rtol=1e-12
-        )
-
-    def test_nonlinear_description_has_no_matrix(self):
-        desc = describe_problem({"corpus": "cubic-monotone"})
-        assert "matrix" not in desc
-        assert desc["m2_bound"] == pytest.approx(6.0 * (5.0 + norm(np.ones(10))))
-        assert len(desc["data"]) == 10

@@ -15,7 +15,6 @@ from dsm import (
     minimal_norm_solution,
     norm,
     regroot,
-    residual_value,
     solve_noisy_to_stopping,
     solve_regularized,
     solve_to_stopping,
@@ -140,22 +139,6 @@ class TestHomotopyLaw:
                 known.append((s, u))
 
 
-class TestResidualValue:
-    @pytest.mark.parametrize(
-        "f, match", [([1.0], "length 1, expected 10"), ([math.nan] * 10, "non-finite")],
-        ids=["short", "nan"],
-    )
-    def test_bad_override_rejected(self, cubic, f, match):
-        # the override is checked as integrate_flow checks it, not broadcast or passed on
-        with pytest.raises(ValueError, match=match):
-            residual_value(cubic, 0.1, np.zeros(cubic.dim), f_override=f)
-
-    def test_override_replaces_the_data(self, cubic):
-        u = np.zeros(cubic.dim)
-        assert residual_value(cubic, 0.1, u, f_override=cubic.data) == residual_value(cubic, 0.1, u)
-        assert residual_value(cubic, 0.1, u, f_override=np.zeros(cubic.dim)) == 0.0
-
-
 class TestIntegrateFlow:
     def test_pure_decay_hits_half_at_ln2(self):
         p = identity_problem(2)
@@ -213,9 +196,8 @@ class TestIntegrateFlow:
     def test_recorded_residuals_recomputed_from_operator(self, cubic):
         traj = integrate_flow(cubic, 1e-1, 1.0, checkpoints=2)
         for u, g in zip(traj.states, traj.residuals):
-            assert g == pytest.approx(
-                residual_value(cubic, 1e-1, u), rel=1e-12, abs=1e-300
-            )
+            residual = apply_operator(cubic, u) + 1e-1 * u - cubic.data
+            assert g == pytest.approx(norm(residual), rel=1e-12, abs=1e-300)
 
     def test_invalid_arguments(self, cubic):
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from dsm import (
     Schedule,
     StepRule,
     apply_operator,
-    iterate_step,
     jacobian,
     make_cubic_monotone,
     make_random_monotone,
@@ -94,41 +93,46 @@ class TestSchedule:
             Schedule.oracle(floor=-1.0)
 
 
-class TestIterateStep:
+def first_step(problem, eps, h, u0):
+    """The iterate after one step of run_iteration at constant eps and step h."""
+    history = run_iteration(
+        problem, Schedule.constant(eps), StepRule.constant_h(h), max_n=1, u0=u0
+    )
+    return history.steps[1].u
+
+
+def newton_step(problem, eps, h, u0):
+    """``u0 - h (B'(u0) + eps I)^{-1} F(u0)``, solved here by numpy alone."""
+    shifted = jacobian(problem, u0) + eps * np.eye(problem.dim)
+    residual = apply_operator(problem, u0) + eps * u0 - problem.data
+    return u0 - h * np.linalg.solve(shifted, residual)
+
+
+class TestFirstStep:
     def test_scalar_hand_value(self):
         p = identity_problem(1, f=[1.0])
-        out = iterate_step(p, np.array([0.0]), 1.0, 1.0)
-        np.testing.assert_allclose(out, [0.5], atol=1e-14)
+        np.testing.assert_allclose(first_step(p, 1.0, 1.0, [0.0]), [0.5], atol=1e-14)
 
     def test_full_step_on_linear_problem_lands_on_root(self, hilbert_linear):
         p = hilbert_linear
         eps = 1e-2
         u0 = np.zeros(p.dim)
-        out = iterate_step(p, u0, eps, 1.0)
+        out = first_step(p, eps, 1.0, u0)
         root = solve_regularized(p, eps)
         assert norm(out - root.v) <= 1e-10 * (1 + norm(root.v))
+        np.testing.assert_allclose(out, newton_step(p, eps, 1.0, u0), rtol=1e-10)
 
     def test_vanishing_step_freezes_state(self, cubic):
         u = np.ones(cubic.dim)
-        out = iterate_step(cubic, u, 1e-1, 1e-8)
+        out = first_step(cubic, 1e-1, 1e-8, u)
         assert norm(out - u) <= 1e-7 * (1 + norm(u))
 
-    def test_matches_the_first_step_of_run_iteration(self, cubic):
+    def test_matches_an_independent_shifted_solve(self, cubic):
         u0 = np.full(cubic.dim, 0.5)
         eps, h = 0.1, 0.75
-        history = run_iteration(
-            cubic, Schedule.constant(eps), StepRule.constant_h(h), max_n=1, u0=u0
+        np.testing.assert_allclose(
+            first_step(cubic, eps, h, u0), newton_step(cubic, eps, h, u0), rtol=1e-13
         )
-        assert np.array_equal(iterate_step(cubic, u0, eps, h), history.steps[1].u)
-
-    def test_step_size_range_enforced(self, cubic):
-        u = np.zeros(cubic.dim)
-        with pytest.raises(ValueError):
-            iterate_step(cubic, u, 1e-1, 0.0)
-        with pytest.raises(ValueError):
-            iterate_step(cubic, u, 1e-1, 1.1)
-        with pytest.raises(ValueError):
-            iterate_step(cubic, u, 0.0, 1.0)
 
 
 class TestRunIteration:

@@ -40,13 +40,11 @@ from dsm import (
     check_bound_chain,
     check_monotonicity,
     default_newton_tol,
-    describe_problem,
     exponential_majorant,
     geometric_weighted_sum,
     horizon_diagnostics,
     inner,
     integrate_flow,
-    iterate_step,
     jacobian,
     make_cubic_monotone,
     make_hilbert_psd,
@@ -58,7 +56,6 @@ from dsm import (
     problem_from_dict,
     reg_solve,
     regularization_path,
-    residual_value,
     run_iteration,
     simulate_recursion,
     solve_noisy_to_stopping,
@@ -122,14 +119,9 @@ CALLS = {
     "regularization_path": (
         regularization_path,
         dict(problem=P, epsilons=[0.1, 0.01]),
-        {"epsilons": "numbers", "newton_tol": "number?"},
+        {"epsilons": "numbers"},
     ),
     "minimal_norm_solution": (minimal_norm_solution, dict(problem=P), {}),
-    "residual_value": (
-        residual_value,
-        dict(problem=P, epsilon=0.1, u=U),
-        {"epsilon": "number", "u": "vector", "f_override": "vector?"},
-    ),
     "stopping_time": (stopping_time, dict(epsilon=0.1), {"epsilon": "number"}),
     "integrate_flow": (
         integrate_flow,
@@ -144,7 +136,7 @@ CALLS = {
         dict(problem=P, epsilon=0.5, checkpoints=2),
         {
             "epsilon": "number", "checkpoints": "count", "u0": "vector?",
-            "f_override": "vector?", "rtol": "number", "atol": "number",
+            "f_override": "vector?", "rtol": "number",
         },
     ),
     "solve_noisy_to_stopping": (
@@ -152,7 +144,7 @@ CALLS = {
         dict(problem=P, f_noisy=P.data, delta=0.1, b_exp=0.5, checkpoints=2),
         {
             "f_noisy": "vector", "delta": "number", "b_exp": "number",
-            "checkpoints": "count", "rtol": "number", "atol": "number",
+            "checkpoints": "count", "rtol": "number",
         },
     ),
     "StepRule": (StepRule, dict(h_constant=0.5), {"h_constant": "number?", "h_list": "numbers?"}),
@@ -171,11 +163,6 @@ CALLS = {
         {"eps0": "number", "ratio": "number", "floor": "number"},
     ),
     "Schedule.oracle": (Schedule.oracle, dict(floor=0.1), {"floor": "number"}),
-    "iterate_step": (
-        iterate_step,
-        dict(problem=P, u_n=U, eps_n=0.1, h_n=0.5),
-        {"u_n": "vector", "eps_n": "number", "h_n": "number"},
-    ),
     "run_iteration": (
         run_iteration,
         dict(problem=P, schedule=Schedule.constant(0.1), steps=StepRule.constant_h(0.5), max_n=3),
@@ -221,7 +208,6 @@ CALLS = {
         add_noise, dict(f=U, delta=0.1, seed=0), {"f": "vector", "delta": "number", "seed": "int"}
     ),
     "problem_from_dict": (problem_from_dict, dict(spec=SPEC), {"spec": "mapping"}),
-    "describe_problem": (describe_problem, dict(spec=SPEC), {"spec": "mapping"}),
 }
 CASES = [(name, arg) for name, (_, _, args) in CALLS.items() for arg in args]
 

@@ -110,6 +110,18 @@ class TestRegSolveContracts:
         ):
             reg_solve(a, 1e-3, np.ones(2))
 
+    @pytest.mark.parametrize("offset, fails", [(1e-9, True), (1e-11, False)])
+    def test_contract_constant_is_1e_10(self, monkeypatch, offset, fails):
+        # A = 0, eps = 1 and |b| = 1: the tolerance is 1e-10 (1 + 1) and the
+        # residual of a solution that misses b by the offset is the offset
+        b = np.array([1.0, 0.0])
+        monkeypatch.setattr(np.linalg, "solve", lambda m, rhs: rhs + np.array([0.0, offset]))
+        if fails:
+            with pytest.raises(NumericalFailure, match="residual 1.000e-09 > tolerance 2.000e-10"):
+                reg_solve(np.zeros((2, 2)), 1.0, b)
+        else:
+            assert reg_solve(np.zeros((2, 2)), 1.0, b).residual_norm == offset
+
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):
             reg_solve(np.eye(2), 0.0, np.ones(2))

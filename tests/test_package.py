@@ -15,13 +15,12 @@ PUBLIC = {
     "ProblemInstance", "RecursionReport", "RegPathEntry", "RegPathResult", "RegRoot",
     "RegSolveReport", "Schedule", "StepBoundRecord", "StepRule", "StoppingResult",
     "TaylorReport", "__version__", "add_noise", "apply_operator", "as_matrix", "as_vector",
-    "check_bound_chain", "check_monotonicity", "corpus_names", "default_newton_tol",
-    "describe_problem", "emit_table", "exponential_majorant",
-    "geometric_weighted_sum", "horizon_diagnostics", "inner", "integrate_flow",
-    "iterate_step", "jacobian", "main", "make_cubic_monotone", "make_hilbert_psd",
+    "check_bound_chain", "check_monotonicity", "default_newton_tol", "emit_table",
+    "exponential_majorant", "geometric_weighted_sum", "horizon_diagnostics", "inner",
+    "integrate_flow", "jacobian", "main", "make_cubic_monotone", "make_hilbert_psd",
     "make_problem", "make_psd_singular_linear", "make_random_monotone",
     "minimal_norm_solution", "norm", "problem_from_dict", "reg_solve",
-    "regularization_path", "residual_value", "run_experiment", "run_iteration",
+    "regularization_path", "run_experiment", "run_iteration",
     "simulate_recursion", "solve_noisy_to_stopping", "solve_regularized",
     "solve_to_stopping", "stopping_time", "taylor_remainder_check", "unrolled_bound",
     "verify_step_recursion",
@@ -39,7 +38,7 @@ def _python(*args):
 
 
 def test_public_names_are_unchanged():
-    assert len(dsm.__all__) == len(PUBLIC) == 60
+    assert len(dsm.__all__) == len(PUBLIC) == 56
     assert set(dsm.__all__) == PUBLIC
     for name in dsm.__all__:
         assert getattr(dsm, name) is not None, name
