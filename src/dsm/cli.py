@@ -31,7 +31,8 @@ import numpy as np
 from . import corpus, flow, iterate, recursion, regroot
 from .flow import MAX_CHECKPOINTS
 from .problem import (
-    OPTIONAL, REQUIRED, NumericalFailure, _as_count, _coerce, _non_negative, _positive, inner, norm
+    OPTIONAL, REQUIRED, NumericalFailure, _as_count, _coerce, _in_unit_interval, _non_negative,
+    _positive, _seed, inner, norm,
 )
 
 __all__ = ["run_experiment", "emit_table", "main"]
@@ -87,17 +88,8 @@ def _flow_tables(traj, root_v, slack):
     return rows, max_dev, max_gap_ratio
 
 
-def _flow_tolerances(cfg: dict) -> None:
-    """Refuse the flow's tolerances before a problem is built."""
-    _as_count(cfg["checkpoints"], "checkpoints", cap=MAX_CHECKPOINTS)
-    _positive(cfg["rtol"], "rtol")
-
-
 def _run_flow(cfg: dict, out_dir: Path):
-    decay_tol = _non_negative(cfg["decay_tol"], "decay_tol")
-    slack = _non_negative(cfg["slack"], "slack")
-    _flow_tolerances(cfg)
-    eps = cfg["epsilon"]
+    eps, slack = cfg["epsilon"], cfg["slack"]
     at_stopping = cfg["t_end"] is None
     t_end = flow.stopping_time(eps) if at_stopping else cfg["t_end"]
     problem = corpus.problem_from_dict(cfg["problem"])
@@ -112,7 +104,7 @@ def _run_flow(cfg: dict, out_dir: Path):
     final_gap = norm(traj.states[-1] - root.v)
 
     checks = [
-        _check(CHECK_RESIDUAL_DECAY, max_dev, decay_tol),
+        _check(CHECK_RESIDUAL_DECAY, max_dev, cfg["decay_tol"]),
         _check(CHECK_FLOW_LIMIT_GAP, max_gap_ratio, slack),
     ]
     if at_stopping:
@@ -147,21 +139,17 @@ def _run_flow(cfg: dict, out_dir: Path):
 
 
 def _run_iterate(cfg: dict, out_dir: Path):
-    slack = _non_negative(cfg["slack"], "slack")
+    schedule = _build(_SCHEDULES, cfg["schedule"])
+    step_rule = _build(_STEP_RULES, cfg["step_rule"])
     problem = corpus.problem_from_dict(cfg["problem"])
     history = iterate.run_iteration(
-        problem,
-        _build(_SCHEDULES, cfg["schedule"]),
-        _build(_STEP_RULES, cfg["step_rule"]),
-        cfg["max_n"],
-        u0=cfg["u0"],
-        stop_residual=cfg["stop_residual"],
-        record_roots=cfg["record_roots"],
+        problem, schedule, step_rule, cfg["max_n"], u0=cfg["u0"],
+        stop_residual=cfg["stop_residual"], record_roots=cfg["record_roots"],
     )
     tracked = history.steps[0].gap is not None
     checks = []
     if tracked and len(history.steps) >= 2:
-        report = iterate.verify_step_recursion(problem, history, slack=slack)
+        report = iterate.verify_step_recursion(problem, history, slack=cfg["slack"])
         checks.append(_check(CHECK_RECURSION_STEP, report.observed, report.bound))
     rows = [
         [s.index, s.epsilon, s.h, s.residual, s.gap, s.root_gap] for s in history.steps
@@ -189,8 +177,6 @@ def _run_iterate(cfg: dict, out_dir: Path):
 
 
 def _run_reg_path(cfg: dict, out_dir: Path):
-    norm_slack = _non_negative(cfg["norm_slack"], "norm_slack")
-    inner_slack = _non_negative(cfg["inner_slack"], "inner_slack")
     problem = corpus.problem_from_dict(cfg["problem"])
     path = regroot.regularization_path(problem, cfg["epsilons"])
     y = problem.known_solution
@@ -205,12 +191,12 @@ def _run_reg_path(cfg: dict, out_dir: Path):
         y_norm = norm(y)
         max_vnorm = max(e.v_norm for e in path.entries)
         checks.append(
-            _check(CHECK_NORM_DOMINANCE, max_vnorm, y_norm * (1.0 + norm_slack))
+            _check(CHECK_NORM_DOMINANCE, max_vnorm, y_norm * (1.0 + cfg["norm_slack"]))
         )
         worst = -math.inf
         for entry in path.entries:
             worst = max(worst, entry.error_to_y ** 2 - inner(y, y - entry.root.v))
-        checks.append(_check(CHECK_ERROR_INNER_BOUND, worst, inner_slack))
+        checks.append(_check(CHECK_ERROR_INNER_BOUND, worst, cfg["inner_slack"]))
 
     run = {
         "label": "reg-path",
@@ -237,13 +223,7 @@ def _run_reg_path(cfg: dict, out_dir: Path):
 
 
 def _run_noise_study(cfg: dict, out_dir: Path):
-    deltas = cfg["deltas"]
-    if len(deltas) == 0:
-        raise ValueError("deltas must be non-empty")
-    if any(not (0.0 < d < 1.0) for d in deltas):
-        raise ValueError("every delta must lie in (0, 1)")
-    slack = _non_negative(cfg["slack"], "slack")
-    b_exp = cfg["b_exp"]
+    deltas, b_exp, slack = cfg["deltas"], cfg["b_exp"], cfg["slack"]
     stopping = b_exp is not None
     if stopping == (cfg["epsilons"] is not None):
         raise ValueError("provide exactly one of 'epsilons' (grid) or 'b_exp' (stopping rule)")
@@ -251,13 +231,7 @@ def _run_noise_study(cfg: dict, out_dir: Path):
     if stopping:
         if any(b >= a for a, b in zip(deltas, deltas[1:])):
             raise ValueError("deltas must be strictly decreasing for the stopping study")
-        flow._in_unit_interval(b_exp, "b_exp")
-        _flow_tolerances(cfg)
         columns += ["stop_gap", "stop_bound", "err_at_stop"]
-    elif len(cfg["epsilons"]) == 0:
-        raise ValueError("epsilons must be non-empty")
-    elif any(not eps > 0.0 for eps in cfg["epsilons"]):
-        raise ValueError("every epsilon must be positive")
     problem = corpus.problem_from_dict(cfg["problem"])
     y = regroot.minimal_norm_solution(problem) if stopping else None
 
@@ -348,7 +322,7 @@ def _sequence(spec, horizon: int, name: str) -> np.ndarray:
 def _run_lemma_sim(cfg: dict, out_dir: Path):
     horizon = cfg["horizon"]
     if horizon < 2:
-        raise ValueError("horizon must be at least 2")
+        raise ValueError(f"horizon must be at least 2, got {horizon}")
     a = _sequence(cfg["a"], horizon, "a")
     b = _sequence(cfg["b"], horizon, "b")
     chain = recursion.check_bound_chain(cfg["g1"], a, b, slack=cfg["slack"])
@@ -391,8 +365,9 @@ MAX_HORIZON = 100_000  # lemma-sim writes horizon + 1 CSV rows once: 10 MB, 100 
 MAX_T_END = 1000.0  # the model residual g(0) exp(-t) underflows past t = 745
 
 # Field tables: key -> (type, default) or (type, default, cap), read by
-# problem._parse.  A variant table {kind: (constructor, fields)} is itself
-# a type: a mapping whose "kind" picks the constructor and its fields.
+# problem._parse.  A type may be a library checker, the field's whole range
+# rule.  A variant table {kind: (constructor, fields)} is itself a type: a
+# mapping whose "kind" picks the constructor and its fields.
 _SCHEDULES = {
     "constant": (iterate.Schedule.constant, {"epsilon": (float, REQUIRED)}),
     "geometric": (
@@ -418,54 +393,53 @@ _SEQUENCES = {
     ),
 }
 _FLOW_TOLERANCES = {
-    # capped here too: noise-study's grid mode never passes checkpoints to the library
-    "checkpoints": (int, 10, MAX_CHECKPOINTS),
-    "rtol": (float, 1e-8),
+    "checkpoints": (_as_count, 10, MAX_CHECKPOINTS),
+    "rtol": (_positive, 1e-8),
 }
 _FLOW_FIELDS = {
     "problem": (dict, REQUIRED),
-    "epsilon": (float, 1e-2),
-    "t_end": ((float, None), None, MAX_T_END),
+    "epsilon": (_positive, 1e-2),
+    "t_end": ((_positive, None), None, MAX_T_END),
     **_FLOW_TOLERANCES,
-    "decay_tol": (float, 1e-3),
-    "slack": (float, 1.05),
+    "decay_tol": (_non_negative, 1e-3),
+    "slack": (_non_negative, 1.05),
     "u0": (([float], None), None),
-    "seed": (int, 0),
+    "seed": (_seed, 0),
 }
 _ITERATE_FIELDS = {
     "problem": (dict, REQUIRED),
     "schedule": (_SCHEDULES, REQUIRED),
     "step_rule": (_STEP_RULES, REQUIRED),
-    "max_n": (int, 60),
-    "stop_residual": ((float, None), None),
+    "max_n": (_as_count, 60, iterate.MAX_STEPS),
+    "stop_residual": ((_non_negative, None), None),
     "record_roots": (bool, False),
-    "slack": (float, 1e-8),
+    "slack": (_non_negative, 1e-8),
     "u0": (([float], None), None),
-    "seed": (int, 0),
+    "seed": (_seed, 0),
 }
 _REG_PATH_FIELDS = {
     "problem": (dict, REQUIRED),
-    "epsilons": ([float], REQUIRED),
-    "norm_slack": (float, 1e-8),
-    "inner_slack": (float, 1e-9),
-    "seed": (int, 0),
+    "epsilons": (regroot._eps_grid, REQUIRED),
+    "norm_slack": (_non_negative, 1e-8),
+    "inner_slack": (_non_negative, 1e-9),
+    "seed": (_seed, 0),
 }
 _NOISE_STUDY_FIELDS = {
     "problem": (dict, REQUIRED),
-    "deltas": ([float], REQUIRED),
-    "epsilons": (([float], None), None),
-    "b_exp": ((float, None), None),
-    "slack": (float, 1.05),
+    "deltas": ([_in_unit_interval], REQUIRED),
+    "epsilons": (([_positive], None), None),
+    "b_exp": ((_in_unit_interval, None), None),
+    "slack": (_non_negative, 1.05),
     **_FLOW_TOLERANCES,
-    "seed": (int, 0),
+    "seed": (_seed, 0),
 }
 _LEMMA_SIM_FIELDS = {
     "a": ((float, [float], _SEQUENCES), REQUIRED),
     "b": ((float, [float], _SEQUENCES), REQUIRED),
-    "horizon": (int, REQUIRED, MAX_HORIZON),
-    "g1": (float, 1.0),
-    "slack": (float, 1e-12),
-    "seed": (int, 0),
+    "horizon": (_as_count, REQUIRED, MAX_HORIZON),
+    "g1": (_non_negative, 1.0),
+    "slack": (_non_negative, 1e-12),
+    "seed": (_seed, 0),
 }
 # kind -> (runner, fields, the CSV that holds the summary table)
 _EXPERIMENTS = {

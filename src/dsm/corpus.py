@@ -36,6 +36,7 @@ from .problem import (
     _parse,
     _positive,
     _rng,
+    _seed,
     as_matrix,
     as_vector,
     jacobian,
@@ -57,7 +58,7 @@ def _check_dim(dim: int, least: int) -> int:
     """The integer dim, rejected outside [least, MAX_DIM] before anything is allocated."""
     dim = _as_count(dim, "dim")
     if dim < least:
-        raise ValueError(f"dim must be at least {least}")
+        raise ValueError(f"dim must be at least {least}, got {dim}")
     if dim > MAX_DIM:
         raise ValueError(f"dimension {dim} exceeds supported maximum {MAX_DIM}")
     return dim
@@ -208,9 +209,9 @@ def add_noise(f: np.ndarray, delta: float, seed: int) -> np.ndarray:
 
 _CORPUS_FIELDS = {
     "corpus": (str, REQUIRED),
-    "dim": (int, OPTIONAL),
-    "seed": (int, OPTIONAL),
-    "radius": (float, OPTIONAL),
+    "dim": (_as_count, OPTIONAL),
+    "seed": (_seed, OPTIONAL),
+    "radius": (_positive, OPTIONAL),
 }
 _LINEAR_FIELDS = {
     "matrix": ([[float]], REQUIRED),

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import NumericalFailure, ProblemInstance, _as_count, _positive, as_vector, norm
+from .problem import (
+    NumericalFailure, ProblemInstance, _as_count, _in_unit_interval, _positive, as_vector, norm
+)
 from .regroot import NEWTON_CAP, _damped_newton, _predict, _residual
 
 __all__ = [
@@ -35,21 +37,10 @@ MAX_CHECKPOINTS = 1000  # integrate_flow holds (checkpoints + 1) x dim states
 ROUNDOFF_FACTOR = 16.0  # c of each checkpoint's roundoff floor; see integrate_flow
 
 
-def _in_unit_interval(value, name: str) -> float:
-    """A real in (0, 1) as a float."""
-    value = _positive(value, name)
-    if not value < 1.0:
-        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
-    return value
-
-
 def stopping_time(epsilon: float) -> float:
-    """Flow horizon matched to eps: the time where the flow iterate
+    """Flow horizon matched to eps in (0, 1): the time where the flow iterate
     is within ``g(0) * eps`` of the regularized root."""
-    epsilon = _positive(epsilon, "epsilon")
-    if not epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1) for a positive horizon, got {epsilon!r}")
-    return -2.0 * math.log(epsilon)
+    return -2.0 * math.log(_in_unit_interval(epsilon, "epsilon"))
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .problem import (
     NumericalFailure,
     ProblemInstance,
     _as_count,
+    _in_unit_interval,
     _non_negative,
     _positive,
     as_vector,
@@ -137,9 +138,7 @@ class Schedule:
             object.__setattr__(self, "epsilon", _positive(self.epsilon, "epsilon"))
         if self.kind == "geometric":
             object.__setattr__(self, "eps0", _positive(self.eps0, "eps0"))
-            object.__setattr__(self, "ratio", _positive(self.ratio, "ratio"))
-            if not self.ratio < 1.0:
-                raise ValueError(f"geometric schedule needs a ratio in (0, 1), got {self.ratio!r}")
+            object.__setattr__(self, "ratio", _in_unit_interval(self.ratio, "ratio"))
 
     @classmethod
     def constant(cls, epsilon: float) -> "Schedule":

@@ -106,9 +106,10 @@ def _coerce(value, kind, name: str, cap=None):
     """Coerce one config value or library argument to ``kind`` without loss.
 
     ``kind`` is ``int`` or ``float`` (at most ``cap``), ``bool``, ``str``,
-    ``dict`` (any mapping), ``[t]`` (a list of ``t``), a variant table
-    ``{kind: (constructor, fields)}`` (a mapping whose ``"kind"`` picks
-    the field table of the rest), or a tuple of these and ``None`` (null).
+    ``dict`` (any mapping), ``[t]`` (a non-empty list of ``t``), a variant
+    table ``{kind: (constructor, fields)}`` (a mapping whose ``"kind"``
+    picks the field table of the rest), a checker such as :func:`_positive`
+    (called with ``name`` and ``cap``), or a tuple of these and ``None``.
     A number is a finite real (Infinity and NaN are not numbers; numpy
     scalars and ints of any size are), a bool is not a number, a
     non-integral number is not an int, and only true and false are bools.
@@ -116,8 +117,12 @@ def _coerce(value, kind, name: str, cap=None):
     value is allocated.
     """
     kinds = kind if isinstance(kind, tuple) else (kind,)
+    if value is None and None in kinds:
+        return value
     for k in kinds:
-        if value is None and k is None or k in (bool, str, dict) and isinstance(value, k):
+        if callable(k) and not isinstance(k, type):  # a checker
+            return k(value, name) if cap is None else k(value, name, cap)
+        if k in (bool, str, dict) and isinstance(value, k):
             return value
         if (k is int or k is float) and _number(value):
             if k is int and not _number(value, integral=True):
@@ -129,6 +134,8 @@ def _coerce(value, kind, name: str, cap=None):
             except OverflowError:  # an int beyond the float range
                 raise ValueError(f"{name} is out of range, got {value!r}") from None
         if isinstance(k, list) and isinstance(value, list):
+            if not value:
+                raise ValueError(f"{name} must be a non-empty list, got []")
             return [_coerce(v, k[0], f"{name} entry") for v in value]
         if isinstance(k, dict) and isinstance(value, dict):
             variant = value.get("kind")
@@ -143,11 +150,11 @@ def _coerce(value, kind, name: str, cap=None):
     raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
-def _positive(value, name: str) -> float:
-    """A positive finite real as a float."""
-    if type(value) is float and 0.0 < value < math.inf:  # the hot path's case, at once
+def _positive(value, name: str, cap: float = math.inf) -> float:
+    """A positive finite real of at most ``cap`` as a float."""
+    if type(value) is float and 0.0 < value < cap:  # the hot path's case, at once
         return value
-    value = _coerce(value, float, name)
+    value = _coerce(value, float, name, cap)
     if not value > 0.0:
         raise ValueError(f"{name} must be a positive finite real, got {value!r}")
     return value
@@ -161,6 +168,14 @@ def _non_negative(value, name: str) -> float:
     return value
 
 
+def _in_unit_interval(value, name: str) -> float:
+    """A real in (0, 1) as a float."""
+    value = _coerce(value, float, name)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+    return value
+
+
 def _as_count(value, name: str, cap: float = math.inf) -> int:
     """A count in [1, cap] as an int."""
     if type(value) is int and 1 <= value <= cap:  # the hot path's case, at once
@@ -170,9 +185,17 @@ def _as_count(value, name: str, cap: float = math.inf) -> int:
     return int(value)
 
 
+def _seed(value, name: str = "seed") -> int:
+    """A non-negative integer as an int, the seeds numpy's generators take."""
+    seed = _coerce(value, int, name)
+    if seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return seed
+
+
 def _rng(seed) -> np.random.Generator:
-    """The generator of an integer seed; anything else is a ``ValueError``."""
-    return np.random.default_rng(_coerce(seed, int, "seed"))
+    """The generator of a seed that :func:`_seed` takes; anything else is a ``ValueError``."""
+    return np.random.default_rng(_seed(seed))
 
 
 def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:

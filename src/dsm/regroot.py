@@ -194,6 +194,16 @@ class RegPathResult:
     root_gaps: list[float]
 
 
+def _eps_grid(epsilons, name: str = "epsilons") -> list[float]:
+    """A non-empty, strictly decreasing sequence of positive finite reals, as a list."""
+    if not (isinstance(epsilons, (list, tuple)) or np.ndim(epsilons) == 1) or len(epsilons) == 0:
+        raise ValueError(f"{name} must be a non-empty sequence, got {epsilons!r}")
+    eps_list = [_positive(e, f"{name} entry") for e in epsilons]
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ValueError(f"{name} must be strictly decreasing, got {eps_list}")
+    return eps_list
+
+
 def regularization_path(
     problem: ProblemInstance,
     epsilons: Sequence[float],
@@ -206,16 +216,10 @@ def regularization_path(
     Unconverged entries are kept and flagged on their :class:`RegRoot`
     rather than discarded.
     """
-    if np.ndim(epsilons) != 1 or len(epsilons) == 0:
-        raise ValueError(f"epsilons must be a non-empty sequence, got {epsilons!r}")
-    eps_list = [_positive(e, "epsilons entry") for e in epsilons]
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("epsilons must be strictly decreasing")
-
     y = problem.known_solution
     entries: list[RegPathEntry] = []
     prev_v: np.ndarray | None = None
-    for eps in eps_list:
+    for eps in _eps_grid(epsilons):
         root = solve_regularized(problem, eps, init=prev_v)
         entries.append(
             RegPathEntry(

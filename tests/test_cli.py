@@ -13,7 +13,7 @@ import pytest
 from dsm import NumericalFailure, corpus, emit_table, flow, main, regroot, run_experiment
 from dsm.cli import _EXPERIMENTS
 from dsm.corpus import OPTIONAL, REQUIRED
-from dsm.problem import apply_operator, inner, norm
+from dsm.problem import _seed, apply_operator, inner, norm
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -412,118 +412,110 @@ class TestCliEntryPoint:
         assert code == 2
         assert f"known_solution {shown}" in err
 
-    @pytest.mark.parametrize(
-        "kind, key",
-        [("flow", "decay_tol"), ("flow", "slack"), ("noise-study", "slack"),
-         ("reg-path", "norm_slack"), ("reg-path", "inner_slack")],
-    )
-    def test_negative_bound_exits_two_before_any_solve(
-        self, tmp_path, capsys, monkeypatch, kind, key
-    ):
-        # a negative bound failed every run with exit 1, after solving it
-        def no_solve(*args, **kwargs):
-            raise AssertionError("a solve ran on an invalid configuration")
-
-        monkeypatch.setattr(regroot, "_damped_newton", no_solve)
-        monkeypatch.setattr(flow, "_damped_newton", no_solve)
-        code, _, err = self.run(
-            capsys, kind, "--config", str(CONFIGS / f"{kind}.json"),
-            "--out", str(tmp_path), "--set", f"{key}=-1",
-        )
-        assert code == 2
-        assert f"{key} must be a finite non-negative real, got -1.0" in err
+    # the problem each kind would build, at a size whose build takes a second
+    BIG_PROBLEM = {
+        "flow": '{"corpus": "cubic-monotone", "dim": 2000}',
+        "iterate": '{"corpus": "cubic-monotone", "dim": 2000}',
+        "reg-path": '{"corpus": "psd-singular-linear", "dim": 2000}',
+        "noise-study": '{"corpus": "psd-singular-linear", "dim": 2000}',
+    }
+    GRID = ["--set", "b_exp=null"]  # noise-study's grid mode, with the epsilons given
 
     @pytest.mark.parametrize(
-        "grid, shown",
-        [("[]", "epsilons must be non-empty"), ("[0.1, 0.0]", "every epsilon must be positive"),
-         ("[0.1, -0.01]", "every epsilon must be positive")],
-    )
-    def test_bad_noise_grid_exits_two_before_any_solve(
-        self, tmp_path, capsys, monkeypatch, grid, shown
-    ):
-        # an empty grid passed noise-gap over 0 cells; a non-positive entry was
-        # refused only after the grid points before it were solved
-        def no_solve(*args, **kwargs):
-            raise AssertionError("a solve ran on an invalid grid")
-
-        monkeypatch.setattr(regroot, "_damped_newton", no_solve)
-        code, _, err = self.run(
-            capsys, "noise-study", "--config", str(CONFIGS / "noise-study.json"),
-            "--out", str(tmp_path), "--set", f"epsilons={grid}", "--set", "b_exp=null",
-        )
-        assert code == 2
-        assert shown in err
-
-    def test_negative_iterate_slack_exits_two_before_any_step(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        # with no roots recorded there is no recursion check, and it exited 0
-        def no_solve(*args, **kwargs):
-            raise AssertionError("a shifted solve ran on an invalid configuration")
-
-        monkeypatch.setattr(regroot, "reg_solve", no_solve)
-        code, _, err = self.run(
-            capsys, "iterate", "--config", str(CONFIGS / "iterate.json"),
-            "--out", str(tmp_path),
-            "--set", 'schedule={"kind": "constant", "epsilon": 0.1}',
-            "--set", "record_roots=false", "--set", "slack=-1",
-        )
-        assert code == 2
-        assert "slack must be a finite non-negative real, got -1.0" in err
-
-    @pytest.mark.parametrize(
-        "overrides, shown",
+        "kind, args, shown",
         [
-            (["deltas=[]"], "deltas must be non-empty"),
-            (["deltas=[0.1, 1.5]"], "every delta must lie in (0, 1)"),
-            (["slack=-1"], "slack must be a finite non-negative real"),
-            (["epsilons=[0.1]"], "provide exactly one of"),
-            (["deltas=[0.001, 0.01]"], "deltas must be strictly decreasing"),
-            (["epsilons=[]", "b_exp=null"], "epsilons must be non-empty"),
-            (["epsilons=[0.1, 0.0]", "b_exp=null"], "every epsilon must be positive"),
-            (["b_exp=1.5"], "b_exp must lie in (0, 1), got 1.5"),
-            (["rtol=0"], "rtol must be a positive finite real, got 0.0"),
-            (["checkpoints=0"], "checkpoints must be an integer in [1, 1000], got 0"),
+            ("flow", ["--set", "decay_tol=-1"],
+             "experiment 'flow' decay_tol must be a finite non-negative real, got -1.0"),
+            ("flow", ["--set", "slack=-1"],
+             "experiment 'flow' slack must be a finite non-negative real, got -1.0"),
+            ("flow", ["--set", "rtol=0"],
+             "experiment 'flow' rtol must be a positive finite real, got 0.0"),
+            ("flow", ["--set", "checkpoints=0"],
+             "experiment 'flow' checkpoints must be an integer in [1, 1000], got 0"),
+            ("flow", ["--set", "epsilon=2"], "epsilon must lie in (0, 1), got 2.0"),
+            ("flow", ["--set", "t_end=0"],
+             "experiment 'flow' t_end must be a positive finite real, got 0.0"),
+            ("flow", ["--set", "t_end=5", "--set", "epsilon=-1"],
+             "experiment 'flow' epsilon must be a positive finite real, got -1.0"),
+            ("flow", ["--seed", "-1"],
+             "experiment 'flow' seed must be a non-negative integer, got -1"),
+            ("iterate", ["--set", "slack=-1"],
+             "experiment 'iterate' slack must be a finite non-negative real, got -1.0"),
+            ("iterate", ["--set", "max_n=0"],
+             "experiment 'iterate' max_n must be an integer in [1, 10000], got 0"),
+            ("iterate", ["--set", "stop_residual=-1"],
+             "experiment 'iterate' stop_residual must be a finite non-negative real, got -1.0"),
+            ("iterate", ["--set", 'schedule={"kind": "geometric", "eps0": 0.1, "ratio": 2}'],
+             "ratio must lie in (0, 1), got 2.0"),
+            ("iterate", ["--set", 'step_rule={"kind": "constant_h", "h": 2}'],
+             "step size h must lie in (0, 1], got 2.0"),
+            ("reg-path", ["--set", "norm_slack=-1"],
+             "experiment 'reg-path' norm_slack must be a finite non-negative real, got -1.0"),
+            ("reg-path", ["--set", "inner_slack=-1"],
+             "experiment 'reg-path' inner_slack must be a finite non-negative real, got -1.0"),
+            ("reg-path", ["--set", "epsilons=[0.1, 0.2]"],
+             "experiment 'reg-path' epsilons must be strictly decreasing, got [0.1, 0.2]"),
+            ("reg-path", ["--set", "epsilons=[]"],
+             "experiment 'reg-path' epsilons must be a non-empty sequence, got []"),
+            ("reg-path", ["--set", "epsilons=[[0.1], [0.2, 0.3]]"],
+             "experiment 'reg-path' epsilons entry must be a number, got [0.1]"),
+            ("noise-study", ["--set", "deltas=[]"],
+             "experiment 'noise-study' deltas must be a non-empty list, got []"),
+            ("noise-study", ["--set", "deltas=[0.1, 1.5]"],
+             "experiment 'noise-study' deltas entry must lie in (0, 1), got 1.5"),
+            ("noise-study", ["--set", "slack=-1"],
+             "experiment 'noise-study' slack must be a finite non-negative real, got -1.0"),
+            ("noise-study", ["--set", "epsilons=[0.1]"], "provide exactly one of"),
+            ("noise-study", ["--set", "deltas=[0.001, 0.01]"], "deltas must be strictly decreasing"),
+            ("noise-study", ["--set", "b_exp=1.5"],
+             "experiment 'noise-study' b_exp must lie in (0, 1), got 1.5"),
+            ("noise-study", ["--set", "rtol=0"],
+             "experiment 'noise-study' rtol must be a positive finite real, got 0.0"),
+            ("noise-study", ["--set", "checkpoints=0"],
+             "experiment 'noise-study' checkpoints must be an integer in [1, 1000], got 0"),
+            ("noise-study", ["--seed", "-1"],
+             "experiment 'noise-study' seed must be a non-negative integer, got -1"),
+            ("noise-study", ["--set", "epsilons=[]", *GRID],
+             "experiment 'noise-study' epsilons must be a non-empty list, got []"),
+            ("noise-study", ["--set", "epsilons=[0.1, 0.0]", *GRID],
+             "experiment 'noise-study' epsilons entry must be a positive finite real, got 0.0"),
+            ("noise-study", ["--set", "epsilons=[0.1, -0.01]", *GRID],
+             "experiment 'noise-study' epsilons entry must be a positive finite real, got -0.01"),
+            ("noise-study", ["--set", "epsilons=[0.1]", *GRID, "--set", "rtol=0"],
+             "experiment 'noise-study' rtol must be a positive finite real, got 0.0"),
+            ("noise-study", ["--set", "epsilons=[0.1]", *GRID, "--set", "checkpoints=0"],
+             "experiment 'noise-study' checkpoints must be an integer in [1, 1000], got 0"),
         ],
-        ids=["no-delta", "delta-outside", "slack", "both-rules", "increasing", "no-eps",
-             "zero-eps", "b-exp-outside", "rtol", "checkpoints"],
+        ids=["flow-decay-tol", "flow-slack", "flow-rtol", "flow-checkpoints", "flow-epsilon",
+             "flow-t-end", "flow-epsilon-with-t-end", "flow-seed", "iterate-slack",
+             "iterate-max-n", "iterate-stop-residual", "iterate-ratio", "iterate-h",
+             "reg-path-norm-slack", "reg-path-inner-slack", "reg-path-increasing",
+             "reg-path-no-eps", "reg-path-ragged", "noise-no-delta", "noise-delta-outside",
+             "noise-slack", "noise-both-rules", "noise-increasing", "noise-b-exp-outside",
+             "noise-rtol", "noise-checkpoints", "noise-seed", "grid-no-eps", "grid-zero-eps",
+             "grid-negative-eps", "grid-rtol", "grid-checkpoints"],
     )
-    def test_refused_noise_study_builds_no_problem(
-        self, tmp_path, capsys, monkeypatch, overrides, shown
+    def test_refused_field_builds_no_problem(
+        self, tmp_path, capsys, monkeypatch, kind, args, shown
     ):
-        # the problem was built first: a d2000 build before the exit 2
+        # each was refused only after the d2000 build, or not at all
         builds = []
         monkeypatch.setattr(corpus, "problem_from_dict", builds.append)
-        sets = [arg for item in overrides for arg in ("--set", item)]
         code, _, err = self.run(
-            capsys, "noise-study", "--config", str(CONFIGS / "noise-study.json"),
-            "--out", str(tmp_path),
-            "--set", 'problem={"corpus": "psd-singular-linear", "dim": 2000}', *sets,
+            capsys, kind, "--config", str(CONFIGS / f"{kind}.json"), "--out", str(tmp_path),
+            "--set", f"problem={self.BIG_PROBLEM[kind]}", *args,
         )
         assert code == 2
         assert shown in err
         assert builds == []
 
-    @pytest.mark.parametrize(
-        "override, shown",
-        [
-            ("decay_tol=-1", "decay_tol must be a finite non-negative real"),
-            ("rtol=0", "rtol must be a positive finite real, got 0.0"),
-            ("checkpoints=0", "checkpoints must be an integer in [1, 1000], got 0"),
-            ("epsilon=2", "epsilon must lie in (0, 1) for a positive horizon, got 2.0"),
-        ],
-        ids=["decay-tol", "rtol", "checkpoints", "epsilon"],
-    )
-    def test_refused_flow_builds_no_problem(self, tmp_path, capsys, monkeypatch, override, shown):
-        builds = []
-        monkeypatch.setattr(corpus, "problem_from_dict", builds.append)
+    def test_negative_problem_seed_is_refused_by_name(self, tmp_path, capsys):
         code, _, err = self.run(
             capsys, "flow", "--config", str(CONFIGS / "flow.json"), "--out", str(tmp_path),
-            "--set", 'problem={"corpus": "cubic-monotone", "dim": 2000}', "--set", override,
+            "--set", "problem.seed=-1",
         )
         assert code == 2
-        assert shown in err
-        assert builds == []
+        assert "seed must be a non-negative integer, got -1" in err
 
     def test_data_outside_the_range_exits_two_before_any_solve(self, tmp_path, capsys, monkeypatch):
         def no_solve(*args, **kwargs):
@@ -713,9 +705,9 @@ class TestReadmeFieldSummary:
     def test_every_kind_matches_its_field_table(self):
         bullets = field_summary()
         assert set(bullets) == {*_EXPERIMENTS, "every kind", "problem"}
-        self.check({"seed": (int, 0)}, bullets["every kind"], "every kind")
+        self.check({"seed": (_seed, 0)}, bullets["every kind"], "every kind")
         for kind, (_, fields, _) in _EXPERIMENTS.items():
-            assert fields["seed"] == (int, 0), kind
+            assert fields["seed"] == (_seed, 0), kind
             rest = {k: v for k, v in fields.items() if k != "seed"}
             self.check(rest, bullets[kind], kind)
 

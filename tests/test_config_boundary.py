@@ -7,9 +7,11 @@ return 0-3 without raising; 1 only with a ``report.json`` whose
 ``checks_pass`` is false; 2 only with the ``dsm: invalid configuration:``
 prefix.  A value of the wrong type for its field (per the README's field
 summary: Infinity and NaN are not numbers, a bool is not a number, a
-non-integral number is not an int, only true and false are bools) and a
-dropped required key must exit 2 with a message that names the field,
-and the value when it is a scalar.
+non-integral number is not an int, only true and false are bools), a
+value outside the range the summary gives the field, and a dropped
+required key must exit 2 with a message that names the field, and the
+value when it is a scalar.  Outside ``problem``, such a refusal comes
+before the problem is built: ``corpus.problem_from_dict`` is never called.
 
 Huge values run in a child process under an address-space limit, so that
 a missing size cap fails the test instead of exhausting the machine.
@@ -27,11 +29,12 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dsm import main
+from dsm import corpus, main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -63,6 +66,25 @@ TYPES = {
     "deltas": "list", "epsilons": "list", "u0": "list?", "a": "sequence", "b": "sequence",
     "t_end": "number?", "stop_residual": "number?", "b_exp": "number?",
 }
+# the range the README's field summary gives each numeric field, by its last
+# key, for a value of the right type; a list must also be non-empty
+_POSITIVE, _NON_NEGATIVE, _UNIT = (lambda v: v > 0), (lambda v: v >= 0), (lambda v: 0 < v < 1)
+RANGES = {
+    "epsilon": _POSITIVE, "rtol": _POSITIVE, "radius": _POSITIVE,
+    "t_end": lambda v: 0 < v <= 1000,
+    "checkpoints": lambda v: 1 <= v <= 1000,
+    "max_n": lambda v: 1 <= v <= 10_000,
+    "horizon": lambda v: 2 <= v <= 100_000,
+    "dim": lambda v: 3 <= v <= 2000,  # the shipped configs' corpus problems
+    "p": lambda v: 1 < v <= math.exp(0.5),
+    "b_exp": _UNIT,
+    "deltas": lambda v: all(map(_UNIT, v)),
+    "epsilons": lambda v: all(map(_POSITIVE, v)),
+    **dict.fromkeys(
+        ["decay_tol", "slack", "stop_residual", "floor", "norm_slack", "inner_slack", "g1", "seed"],
+        _NON_NEGATIVE,
+    ),
+}
 HUGE = (10**9, 10**400, math.inf)
 
 
@@ -86,12 +108,14 @@ def _is_number(v) -> bool:
 
 
 def accepts(kind: str, path: str, value) -> bool:
-    """Whether ``value`` has a type the field takes (its range aside)."""
+    """Whether the field takes ``value``: its type, and its range when it has one."""
     expected = field_type(kind, path)
     if value is None:
         return expected.endswith("?")
+    if isinstance(value, list) and not value:
+        return False
     numbers = isinstance(value, list) and all(_is_number(v) for v in value)
-    return {
+    typed = {
         "mapping": isinstance(value, dict),
         "string": isinstance(value, str),
         "bool": isinstance(value, bool),
@@ -100,6 +124,12 @@ def accepts(kind: str, path: str, value) -> bool:
         "list": numbers,
         "sequence": _is_number(value) or numbers or isinstance(value, dict),
     }[expected.rstrip("?")]
+    name = path.rsplit(".", 1)[-1]
+    if not typed or name not in RANGES:
+        return typed
+    if kind == "reg-path" and name == "epsilons" and any(b >= a for a, b in zip(value, value[1:])):
+        return False
+    return RANGES[name](value)
 
 
 def mutated(kind: str, path: str, value) -> dict:
@@ -123,13 +153,16 @@ def outcome(kind: str, path: str, value) -> dict:
         out = Path(tmp) / "out"
         err = io.StringIO()
         result = {"code": None, "raised": None}
+        build = mock.Mock(wraps=corpus.problem_from_dict)
         try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                    mock.patch.object(corpus, "problem_from_dict", build):
                 result["code"] = main(
                     [kind, "--config", str(config), "--out", str(out), "--table", "none"]
                 )
         except (Exception, SystemExit) as exc:  # anything escaping main fails the property
             result["raised"] = f"{type(exc).__name__}: {exc}"[:300]
+        result["builds"] = build.call_count
         report = out / "report.json"
         result["checks_pass"] = (
             json.loads(report.read_text())["checks_pass"] if report.exists() else None
@@ -174,6 +207,8 @@ def check(kind: str, path: str, value, result: dict) -> None:
         assert name in err, f"{case}: message does not name {name!r}: {err!r}"
         if not isinstance(value, (list, dict, _Drop)):
             assert repr(value) in err, f"{case}: message does not show the value: {err!r}"
+        if not path.startswith("problem."):
+            assert result["builds"] == 0, f"{case}: refused only after the problem was built"
 
 
 def _is_huge(value) -> bool:
@@ -212,6 +247,10 @@ def mutations(draw):
 @example(("iterate", "max_n", 3.7))
 @example(("iterate", "record_roots", "no"))
 @example(("flow", "problem.dim", 2.5))
+@example(("reg-path", "epsilons", [1, 2]))
+@example(("flow", "seed", -1))
+@example(("iterate", "max_n", -2.0))
+@example(("flow", "t_end", 0))
 def test_mutated_config_exits_0_to_3(mutation):
     kind, path, value = mutation
     if _is_huge(value):

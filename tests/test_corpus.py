@@ -36,6 +36,22 @@ def test_non_integer_counts_and_seeds_are_value_errors(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: make_problem("cubic-monotone", dim=2000, seed=-1),
+        lambda: make_problem("random-monotone", seed=-1.0),
+        lambda: add_noise(np.ones(3), 0.1, -1),
+        lambda: check_monotonicity(make_problem("hilbert-psd"), 2, -1, 1.0),
+    ],
+    ids=["factory", "integral-float", "noise", "monotonicity"],
+)
+def test_negative_seeds_are_refused_by_name(call):
+    # numpy's own refusal named no argument, and came after the build's first steps
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1"):
+        call()
+
+
 def huge_dim_outcomes(call: str) -> list[str]:
     """Run ``call`` once per corpus name in a capped child (see
     ``conftest.run_capped``); return each outcome as text."""
