@@ -32,7 +32,7 @@ from .problem import (
     OPTIONAL,
     REQUIRED,
     ProblemInstance,
-    _as_count,
+    _number,
     _parse,
     _positive,
     _rng,
@@ -56,12 +56,9 @@ __all__ = [
 
 def _check_dim(dim: int, least: int) -> int:
     """The integer dim, rejected outside [least, MAX_DIM] before anything is allocated."""
-    dim = _as_count(dim, "dim")
-    if dim < least:
-        raise ValueError(f"dim must be at least {least}, got {dim}")
-    if dim > MAX_DIM:
-        raise ValueError(f"dimension {dim} exceeds supported maximum {MAX_DIM}")
-    return dim
+    if not _number(dim, integral=True) or not least <= dim <= MAX_DIM:
+        raise ValueError(f"dim must be an integer in [{least}, {MAX_DIM}], got {dim!r}")
+    return int(dim)
 
 
 def _orthogonal(dim: int, rng) -> np.ndarray:
@@ -209,7 +206,7 @@ def add_noise(f: np.ndarray, delta: float, seed: int) -> np.ndarray:
 
 _CORPUS_FIELDS = {
     "corpus": (str, REQUIRED),
-    "dim": (_as_count, OPTIONAL),
+    "dim": (int, OPTIONAL),  # its range depends on the problem: the factory checks it
     "seed": (_seed, OPTIONAL),
     "radius": (_positive, OPTIONAL),
 }

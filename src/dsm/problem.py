@@ -177,11 +177,12 @@ def _in_unit_interval(value, name: str) -> float:
 
 
 def _as_count(value, name: str, cap: float = math.inf) -> int:
-    """A count in [1, cap] as an int."""
+    """A count in [1, cap] as an int; the message shows the range only when the cap is finite."""
     if type(value) is int and 1 <= value <= cap:  # the hot path's case, at once
         return value
     if not _number(value, integral=True) or not 1 <= value <= cap:
-        raise ValueError(f"{name} must be an integer in [1, {cap}], got {value!r}")
+        rule = f"an integer in [1, {cap}]" if cap < math.inf else "a positive integer"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
     return int(value)
 
 

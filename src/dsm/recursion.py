@@ -31,8 +31,6 @@ __all__ = [
     "geometric_weighted_sum",
     "ChainReport",
     "check_bound_chain",
-    "HorizonReport",
-    "horizon_diagnostics",
 ]
 
 _TINY = 1e-300  # floor of a denominator that may be zero
@@ -43,10 +41,13 @@ def _validate(g1, a, b):
     b = as_vector(b, a.size, "perturbations b")
     if a.size == 0:
         raise ValueError("need at least one step")
-    if not np.all((a > 0.0) & (a <= 0.5)):
-        raise ValueError("weights a must lie in (0, 0.5]")
-    if not np.all(b >= 0.0):
-        raise ValueError("perturbations b must be non-negative")
+    for name, x, ok, rule in (
+        ("a", a, (a > 0.0) & (a <= 0.5), "weights a must lie in (0, 0.5]"),
+        ("b", b, b >= 0.0, "perturbations b must be non-negative"),
+    ):
+        if not ok.all():  # name the first offending term
+            k = int(np.argmin(ok))
+            raise ValueError(f"{rule}, got {name}[{k}] = {float(x[k])!r}")
     g1 = _non_negative(g1, "g1")
     return g1, a, b
 
@@ -141,62 +142,3 @@ def check_bound_chain(g1, a, b, slack: float = 1e-12) -> ChainReport:
     )
     observed = max(0.0, float(excess.max()))
     return ChainReport(simulated=sim, unrolled=unr, majorant=maj, observed=observed, bound=slack)
-
-
-@dataclass(frozen=True)
-class HorizonReport:
-    """Finite-horizon diagnostics for the recursion's convergence hypotheses.
-
-    The hypotheses are limits (the weights must sum to infinity, the
-    exponentially weighted perturbation tail must vanish) and cannot be
-    decided from finite data, so everything here is a labeled trend, not
-    a verdict.  ``tail_sums[m]`` is ``sum_k b_k exp(-(A_m - A_k))`` with
-    A the running weight sum, up to entry m.
-    """
-
-    weight_sum: float
-    weights_diverging_trend: bool
-    tail_sums: np.ndarray
-    tail_sum: float
-    tail_nonincreasing_trend: bool
-
-
-def horizon_diagnostics(a, b) -> HorizonReport:
-    """Summarize the convergence hypotheses over the horizon ``len(a)``.
-
-    The weight trend asks whether the last half of the horizon still
-    contributes more than 1% of the partial sum; the tail trend asks
-    whether the weighted tail is nonincreasing over the last half.  The
-    weights here only need to be positive (no 0.5 cap): this op explores
-    hypotheses, including inadmissible ones, rather than running the
-    recursion.
-    """
-    a = as_vector(a, name="weights a")
-    b = as_vector(b, a.size, "perturbations b")
-    horizon = a.size
-    if horizon < 2:
-        raise ValueError("horizon must be at least 2")
-    if not np.all(a > 0.0):
-        raise ValueError("weights a must be positive finite reals")
-    if not np.all(b >= 0.0):
-        raise ValueError("perturbations b must be non-negative")
-
-    partial = np.cumsum(a)
-    half = horizon // 2
-    weight_sum = float(partial[-1])
-    diverging = (weight_sum - float(partial[half - 1])) > 0.01 * weight_sum
-
-    # tail recurrence: T_{m+1} = exp(-a_{m+1}) * (T_m + b_m), T_1 = 0
-    tails = np.empty(horizon)
-    tails[0] = 0.0
-    for m in range(1, horizon):
-        tails[m] = math.exp(-a[m]) * (tails[m - 1] + b[m - 1])
-    last_half = tails[half:]
-    nonincreasing = bool(np.all(np.diff(last_half) <= 1e-15))
-    return HorizonReport(
-        weight_sum=weight_sum,
-        weights_diverging_trend=bool(diverging),
-        tail_sums=tails,
-        tail_sum=float(tails[-1]),
-        tail_nonincreasing_trend=nonincreasing,
-    )

@@ -517,6 +517,28 @@ class TestCliEntryPoint:
         assert code == 2
         assert "seed must be a non-negative integer, got -1" in err
 
+    @pytest.mark.parametrize(
+        "kind, setting, shown",
+        [
+            ("lemma-sim", "a=0.7", "weights a must lie in (0, 0.5], got a[0] = 0.7"),
+            ("lemma-sim", 'b={"kind": "power", "scale": -1, "exponent": 1}',
+             "perturbations b must be non-negative, got b[0] = -1.0"),
+            ("flow", "problem.dim=0", "dim must be an integer in [3, 2000], got 0"),
+            ("flow", "problem.dim=2", "dim must be an integer in [3, 2000], got 2"),
+            ("flow", "problem.dim=2001", "dim must be an integer in [3, 2000], got 2001"),
+            ("flow", 'problem={"corpus": "hilbert-psd", "dim": 0}',
+             "dim must be an integer in [1, 2000], got 0"),
+        ],
+        ids=["lemma-a", "lemma-b", "dim-0", "dim-2", "dim-2001", "hilbert-dim-0"],
+    )
+    def test_refusal_shows_the_value_and_its_range(self, tmp_path, capsys, kind, setting, shown):
+        code, _, err = self.run(
+            capsys, kind, "--config", str(CONFIGS / f"{kind}.json"), "--out", str(tmp_path),
+            "--set", setting,
+        )
+        assert code == 2
+        assert err == f"dsm: invalid configuration: {shown}\n"
+
     def test_data_outside_the_range_exits_two_before_any_solve(self, tmp_path, capsys, monkeypatch):
         def no_solve(*args, **kwargs):
             raise AssertionError("a shifted solve ran on a problem with no solution")
@@ -584,7 +606,7 @@ class TestCliEntryPoint:
             "--out", str(tmp_path / "csv"), "--table", "csv",
         )
         assert "|" not in csv_out.splitlines()[0]
-        assert csv_out.splitlines()[0] == "n,simulated,unrolled_bound,majorant,tail_sum"
+        assert csv_out.splitlines()[0] == "n,simulated,unrolled_bound,majorant"
 
         code, quiet, _ = self.run(
             capsys, "lemma-sim", "--config", str(CONFIGS / "lemma-sim.json"),
@@ -620,6 +642,21 @@ class TestTableWrittenOnce:
         assert out[:len(csv_text)] == csv_text
         assert out[len(csv_text):].startswith(f"{kind}: ")
         assert (tmp_path / "cli" / csv_name).read_text() == csv_text
+
+    def test_lemma_sim_reports_only_its_chain(self, tmp_path):
+        report = run_experiment(load_config("lemma-sim.json"), tmp_path)
+        (run,) = report["runs"]
+        assert set(run["metrics"]) == {"horizon", "final_value"}
+        assert [c["check"] for c in run["checks"]] == ["induction-chain"]
+        header = (tmp_path / "sequences.csv").read_text().splitlines()[0]
+        assert header == "n,simulated,unrolled_bound,majorant"
+
+    def test_lemma_sim_runs_a_single_step(self, tmp_path, capsys):
+        code = main(["lemma-sim", "--config", str(CONFIGS / "lemma-sim.json"),
+                     "--out", str(tmp_path), "--table", "none", "--set", "horizon=1"])
+        assert code == 0
+        rows = (tmp_path / "sequences.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0", "1"]
 
     def test_lemma_sim_report_stays_small_at_horizon_3000(self, tmp_path):
         # the path-certify workload's lemma-sim: 3001 table rows, none in report.json

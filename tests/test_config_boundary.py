@@ -74,7 +74,11 @@ RANGES = {
     "t_end": lambda v: 0 < v <= 1000,
     "checkpoints": lambda v: 1 <= v <= 1000,
     "max_n": lambda v: 1 <= v <= 10_000,
-    "horizon": lambda v: 2 <= v <= 100_000,
+    "horizon": lambda v: 1 <= v <= 100_000,
+    # a number is every term of a constant sequence; lists and generators pass here,
+    # since their terms are not modelled
+    "a": lambda v: isinstance(v, (list, dict)) or 0 < v <= 0.5,
+    "b": lambda v: isinstance(v, (list, dict)) or v >= 0,
     "dim": lambda v: 3 <= v <= 2000,  # the shipped configs' corpus problems
     "p": lambda v: 1 < v <= math.exp(0.5),
     "b_exp": _UNIT,
@@ -251,6 +255,8 @@ def mutations(draw):
 @example(("flow", "seed", -1))
 @example(("iterate", "max_n", -2.0))
 @example(("flow", "t_end", 0))
+@example(("lemma-sim", "a", 0.7))
+@example(("lemma-sim", "b", -1))
 def test_mutated_config_exits_0_to_3(mutation):
     kind, path, value = mutation
     if _is_huge(value):

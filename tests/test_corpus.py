@@ -52,6 +52,10 @@ def test_negative_seeds_are_refused_by_name(call):
         call()
 
 
+# the least dim each corpus problem takes; every one takes at most MAX_DIM
+LEAST_DIM = {"psd-singular-linear": 3, "hilbert-psd": 1, "cubic-monotone": 3, "random-monotone": 3}
+
+
 def huge_dim_outcomes(call: str) -> list[str]:
     """Run ``call`` once per corpus name in a capped child (see
     ``conftest.run_capped``); return each outcome as text."""
@@ -87,9 +91,9 @@ class TestFactories:
 
     def test_factory_validation(self):
         for name in ("psd-singular-linear", "cubic-monotone", "random-monotone"):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"^dim must be an integer in \[3, 2000\], got 2$"):
                 make_problem(name, dim=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^dim must be an integer in \[1, 2000\], got 0$"):
             make_problem("hilbert-psd", dim=0)
         with pytest.raises(ValueError):
             make_problem("cubic-monotone", radius=0.0)
@@ -97,16 +101,18 @@ class TestFactories:
     def test_dim_cap_checked_before_the_factory_allocates(self):
         outcomes = huge_dim_outcomes("make_problem(name, dim=10**7)")
         for name, outcome in zip(CORPUS_NAMES, outcomes):
+            least = LEAST_DIM[name]
             assert outcome == (
-                f"ValueError: dimension 10000000 exceeds supported maximum {MAX_DIM}"
+                f"ValueError: dim must be an integer in [{least}, {MAX_DIM}], got 10000000"
             ), name
 
     def test_each_factory_checks_the_dim_cap_itself(self):
         # make_psd_singular_linear, make_hilbert_psd, ... called directly
         outcomes = huge_dim_outcomes("getattr(corpus, 'make_' + name.replace('-', '_'))(dim=10**7)")
         for name, outcome in zip(CORPUS_NAMES, outcomes):
+            least = LEAST_DIM[name]
             assert outcome == (
-                f"ValueError: dimension 10000000 exceeds supported maximum {MAX_DIM}"
+                f"ValueError: dim must be an integer in [{least}, {MAX_DIM}], got 10000000"
             ), name
 
     def test_construction_is_deterministic(self, all_problems):

@@ -42,7 +42,6 @@ from dsm import (
     default_newton_tol,
     exponential_majorant,
     geometric_weighted_sum,
-    horizon_diagnostics,
     inner,
     integrate_flow,
     jacobian,
@@ -183,9 +182,6 @@ CALLS = {
         check_bound_chain,
         dict(g1=1.0, a=WEIGHTS, b=B),
         {**CHAIN, "slack": "number"},
-    ),
-    "horizon_diagnostics": (
-        horizon_diagnostics, dict(a=WEIGHTS, b=B), {"a": "vector", "b": "vector"}
     ),
     "make_problem": (
         make_problem,

@@ -10,13 +10,13 @@ ROOT = Path(__file__).resolve().parents[1]
 # the public surface: every layer's __all__, the runner's three names, and
 # the version
 PUBLIC = {
-    "ChainReport", "FlowResult", "HorizonReport", "IterationHistory", "IterationStep",
+    "ChainReport", "FlowResult", "IterationHistory", "IterationStep",
     "MAX_DIM", "MonotonicityReport", "NoisyStoppingResult", "NumericalFailure",
     "ProblemInstance", "RecursionReport", "RegPathEntry", "RegPathResult", "RegRoot",
     "RegSolveReport", "Schedule", "StepBoundRecord", "StepRule", "StoppingResult",
     "TaylorReport", "__version__", "add_noise", "apply_operator", "as_matrix", "as_vector",
     "check_bound_chain", "check_monotonicity", "default_newton_tol", "emit_table",
-    "exponential_majorant", "geometric_weighted_sum", "horizon_diagnostics", "inner",
+    "exponential_majorant", "geometric_weighted_sum", "inner",
     "integrate_flow", "jacobian", "main", "make_cubic_monotone", "make_hilbert_psd",
     "make_problem", "make_psd_singular_linear", "make_random_monotone",
     "minimal_norm_solution", "norm", "problem_from_dict", "reg_solve",
@@ -38,7 +38,7 @@ def _python(*args):
 
 
 def test_public_names_are_unchanged():
-    assert len(dsm.__all__) == len(PUBLIC) == 56
+    assert len(dsm.__all__) == len(PUBLIC) == 54
     assert set(dsm.__all__) == PUBLIC
     for name in dsm.__all__:
         assert getattr(dsm, name) is not None, name

@@ -9,7 +9,6 @@ from dsm import (
     check_bound_chain,
     exponential_majorant,
     geometric_weighted_sum,
-    horizon_diagnostics,
     simulate_recursion,
     unrolled_bound,
 )
@@ -248,36 +247,10 @@ class TestBoundChain:
             check_bound_chain(1.0, np.full(3, 0.5), np.zeros(3), slack=slack)
 
     def test_rejects_inadmissible_weights(self):
-        with pytest.raises(ValueError):
-            check_bound_chain(1.0, np.array([0.7]), np.array([0.0]))
-
-
-class TestHorizonDiagnostics:
-    def test_halving_with_harmonic_forcing_reference_values(self):
-        h = 200
-        a = np.full(h, 0.5)
-        b = 1.0 / np.arange(1, h + 1)
-        rep = horizon_diagnostics(a, b)
-        assert rep.weight_sum == pytest.approx(100.0, rel=1e-14)
-        assert rep.weights_diverging_trend
-        assert rep.tail_sum < 0.02
-        assert rep.tail_nonincreasing_trend
-
-    def test_zero_forcing_has_zero_tail(self):
-        for h in (10, 50):
-            rep = horizon_diagnostics(np.full(h, 0.3), np.zeros(h))
-            assert rep.tail_sum == 0.0
-            assert rep.tail_nonincreasing_trend
-
-    def test_summable_weights_flagged_as_nondivergent(self):
-        h = 400
-        k = np.arange(1, h + 1)
-        rep = horizon_diagnostics(1.0 / k**2, np.full(h, 0.1))
-        assert rep.weight_sum < math.pi**2 / 6
-        assert rep.weight_sum > 1.6
-        assert not rep.weights_diverging_trend
-        assert not rep.tail_nonincreasing_trend
-
-    def test_horizon_validation(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            horizon_diagnostics(np.full(1, 0.5), np.zeros(1))
+        # the message names the first offending term and its value
+        weight = r"^weights a must lie in \(0, 0\.5\], got a\[1\] = 0\.7$"
+        with pytest.raises(ValueError, match=weight):
+            check_bound_chain(1.0, np.array([0.5, 0.7, 0.9]), np.zeros(3))
+        perturbation = r"^perturbations b must be non-negative, got b\[1\] = -1\.0$"
+        with pytest.raises(ValueError, match=perturbation):
+            check_bound_chain(1.0, np.full(3, 0.5), np.array([0.0, -1.0, -2.0]))
