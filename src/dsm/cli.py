@@ -31,65 +31,30 @@ import numpy as np
 from . import corpus, flow, iterate, recursion, regroot
 from .flow import MAX_CHECKPOINTS
 from .problem import (
-    OPTIONAL, REQUIRED, NumericalFailure, _as_count, _coerce, _in_unit_interval, _non_negative,
-    _positive, _seed, inner, norm,
+    _TINY, OPTIONAL, REQUIRED, Check, NumericalFailure, _as_count, _coerce, _in_unit_interval,
+    _non_negative, _positive, _seed, norm,
 )
 
 __all__ = ["run_experiment", "emit_table", "main"]
 
-# Bound checks are reported under stable names so downstream tooling can
-# key on them; each name states what the inequality controls.
-CHECK_RESIDUAL_DECAY = "residual-decay"
-CHECK_FLOW_LIMIT_GAP = "flow-limit-gap"
-CHECK_STOPPING_GAP = "stopping-gap"
-CHECK_NORM_DOMINANCE = "norm-dominance"
-CHECK_ERROR_INNER_BOUND = "error-inner-bound"
-CHECK_NOISY_STOPPING_GAP = "noisy-stopping-gap"
-CHECK_NOISE_GAP = "noise-gap"
-CHECK_NOISE_CONVERGENCE = "noise-convergence"
-CHECK_RECURSION_STEP = "recursion-step"
-CHECK_INDUCTION_CHAIN = "induction-chain"
 
-_TINY = 1e-300
-
-
-def _check(check_id: str, observed: float, bound: float) -> dict:
+def _check(c: Check) -> dict:
+    """The report row of one bound check."""
     return {
-        "check": check_id,
-        "observed": float(observed),
-        "bound": float(bound),
-        "margin": float(bound) - float(observed),
-        "pass": bool(observed <= bound),
+        "check": c.name,
+        "observed": float(c.observed),
+        "bound": float(c.bound),
+        "margin": float(c.bound) - float(c.observed),
+        "pass": c.passed,
     }
-
-
-def _stopping_ratio(gap: float, g0: float, eps: float) -> float:
-    """``|u(T) - V| / (g0 eps)``: a flow's gap to its root at the stopping time, over its bound."""
-    return gap / max(g0 * eps, _TINY)
 
 
 # ---------------------------------------------------------------------------
 # flow
 
 
-def _flow_tables(traj, root_v, slack):
-    g0 = float(traj.residuals[0])
-    rows = []
-    max_dev = 0.0
-    max_gap_ratio = 0.0
-    for t, u, g in zip(traj.times, traj.states, traj.residuals):
-        model = g0 * math.exp(-t)
-        dev = abs(g / model - 1.0) if model > 0.0 else (0.0 if g == 0.0 else math.inf)
-        gap = norm(u - root_v)
-        gap_bound = slack * (model / traj.epsilon)
-        max_dev = max(max_dev, dev)
-        max_gap_ratio = max(max_gap_ratio, gap * traj.epsilon / max(model, _TINY))
-        rows.append([float(t), float(g), model, gap, gap_bound])
-    return rows, max_dev, max_gap_ratio
-
-
 def _run_flow(cfg: dict, out_dir: Path):
-    eps, slack = cfg["epsilon"], cfg["slack"]
+    eps = cfg["epsilon"]
     at_stopping = cfg["t_end"] is None
     t_end = flow.stopping_time(eps) if at_stopping else cfg["t_end"]
     problem = corpus.problem_from_dict(cfg["problem"])
@@ -99,16 +64,7 @@ def _run_flow(cfg: dict, out_dir: Path):
     # the root at s = exp(-t) = 0, started from the flow's curve extrapolated there
     tail = [(math.exp(-t), u) for t, u in zip(traj.times[-3:], traj.states[-3:])]
     root = regroot.solve_regularized(problem, eps, init=regroot._predict(tail, 0.0))
-    rows, max_dev, max_gap_ratio = _flow_tables(traj, root.v, slack)
-    g0 = float(traj.residuals[0])
-    final_gap = norm(traj.states[-1] - root.v)
-
-    checks = [
-        _check(CHECK_RESIDUAL_DECAY, max_dev, cfg["decay_tol"]),
-        _check(CHECK_FLOW_LIMIT_GAP, max_gap_ratio, slack),
-    ]
-    if at_stopping:
-        checks.append(_check(CHECK_STOPPING_GAP, _stopping_ratio(final_gap, g0, eps), slack))
+    rows, checks = flow.check_flow(traj, root.v, cfg["slack"], cfg["decay_tol"], at_stopping)
 
     _write_trajectory(out_dir / "trajectory.csv", traj)
     run = {
@@ -116,9 +72,9 @@ def _run_flow(cfg: dict, out_dir: Path):
         "metrics": {
             "epsilon": eps,
             "t_end": t_end,
-            "g0": g0,
+            "g0": float(traj.residuals[0]),
             "final_residual": float(traj.residuals[-1]),
-            "final_root_gap": final_gap,
+            "final_root_gap": rows[-1][3],
             "accepted_steps": traj.accepted,
             "rejected_steps": traj.rejected,
             "rhs_evals": traj.rhs_evals,
@@ -149,8 +105,7 @@ def _run_iterate(cfg: dict, out_dir: Path):
     tracked = history.steps[0].gap is not None
     checks = []
     if tracked and len(history.steps) >= 2:
-        report = iterate.verify_step_recursion(problem, history, slack=cfg["slack"])
-        checks.append(_check(CHECK_RECURSION_STEP, report.observed, report.bound))
+        checks.append(iterate.verify_step_recursion(problem, history, slack=cfg["slack"]))
     rows = [
         [s.index, s.epsilon, s.h, s.residual, s.gap, s.root_gap] for s in history.steps
     ]
@@ -186,17 +141,9 @@ def _run_reg_path(cfg: dict, out_dir: Path):
         gap = path.root_gaps[i] if i < len(path.root_gaps) else None
         rows.append([entry.epsilon, entry.v_norm, entry.error_to_y, gap])
 
-    checks = []
-    if y is not None:
-        y_norm = norm(y)
-        max_vnorm = max(e.v_norm for e in path.entries)
-        checks.append(
-            _check(CHECK_NORM_DOMINANCE, max_vnorm, y_norm * (1.0 + cfg["norm_slack"]))
-        )
-        worst = -math.inf
-        for entry in path.entries:
-            worst = max(worst, entry.error_to_y ** 2 - inner(y, y - entry.root.v))
-        checks.append(_check(CHECK_ERROR_INNER_BOUND, worst, cfg["inner_slack"]))
+    checks = [] if y is None else regroot.check_path(
+        path, y, cfg["norm_slack"], cfg["inner_slack"]
+    )
 
     run = {
         "label": "reg-path",
@@ -248,7 +195,7 @@ def _run_noise_study(cfg: dict, out_dir: Path):
             result = flow.solve_noisy_to_stopping(
                 problem, f_noisy, delta, b_exp, checkpoints=cfg["checkpoints"], rtol=cfg["rtol"]
             )
-            epsilons = [result.epsilon_used]
+            epsilons = [result.trajectory.epsilon]
         for eps in epsilons:
             if eps not in clean:
                 clean[eps] = regroot.solve_regularized(problem, eps).v
@@ -263,7 +210,7 @@ def _run_noise_study(cfg: dict, out_dir: Path):
             err = norm(result.w_final - y)
             errors.append(err)
             rows[-1] += [stop_gap, slack * g0d * eps, err]
-            max_stop_ratio = max(max_stop_ratio, _stopping_ratio(stop_gap, g0d, eps))
+            max_stop_ratio = max(max_stop_ratio, flow._stopping_ratio(stop_gap, g0d, eps))
             traj_name = f"trajectory-{i:02d}.csv"
             _write_trajectory(out_dir / traj_name, result.trajectory)
             runs.append(
@@ -280,14 +227,14 @@ def _run_noise_study(cfg: dict, out_dir: Path):
                 }
             )
 
-    checks = [_check(CHECK_NOISE_GAP, max_ratio, slack)]
+    checks = [Check("noise-gap", max_ratio, slack)]
     metrics = {"cells": len(rows), "max_gap_ratio": max_ratio}
     if stopping:
-        checks.append(_check(CHECK_NOISY_STOPPING_GAP, max_stop_ratio, slack))
+        checks.append(Check("noisy-stopping-gap", max_stop_ratio, slack))
         if len(errors) >= 2:
             # errors must strictly decrease: the bound is the largest double below 1
             worst = max(nxt / max(prev, _TINY) for prev, nxt in zip(errors, errors[1:]))
-            checks.append(_check(CHECK_NOISE_CONVERGENCE, worst, math.nextafter(1.0, 0.0)))
+            checks.append(Check("noise-convergence", worst, math.nextafter(1.0, 0.0)))
         metrics = {
             "b_exp": b_exp,
             "errors_at_stop": errors,
@@ -324,7 +271,6 @@ def _run_lemma_sim(cfg: dict, out_dir: Path):
     a = _sequence(cfg["a"], horizon, "a")
     b = _sequence(cfg["b"], horizon, "b")
     chain = recursion.check_bound_chain(cfg["g1"], a, b, slack=cfg["slack"])
-    checks = [_check(CHECK_INDUCTION_CHAIN, chain.observed, chain.bound)]
     rows = [
         list(row) for row in zip(
             range(horizon + 1),
@@ -334,7 +280,7 @@ def _run_lemma_sim(cfg: dict, out_dir: Path):
     run = {
         "label": "lemma-sim",
         "metrics": {"horizon": horizon, "final_value": float(chain.simulated[-1])},
-        "checks": checks,
+        "checks": [chain],
         "artifacts": ["sequences.csv"],
     }
     table = {"columns": ["n", "simulated", "unrolled_bound", "majorant"], "rows": rows}
@@ -463,6 +409,8 @@ def run_experiment(config: dict, out_dir) -> dict:
     start = time.perf_counter()
     runs, table, problem = runner(cfg, out_dir)
     elapsed = time.perf_counter() - start
+    for run in runs:  # every report row is one library Check
+        run["checks"] = [_check(c) for c in run["checks"]]
 
     artifacts = sorted({name for run in runs for name in run["artifacts"]} | {"report.json"})
     report = {

@@ -206,7 +206,7 @@ def add_noise(f: np.ndarray, delta: float, seed: int) -> np.ndarray:
 
 _CORPUS_FIELDS = {
     "corpus": (str, REQUIRED),
-    "dim": (int, OPTIONAL),  # its range depends on the problem: the factory checks it
+    "dim": (lambda dim, name: dim, OPTIONAL),  # passed as given: the factory's range is its rule
     "seed": (_seed, OPTIONAL),
     "radius": (_positive, OPTIONAL),
 }

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import (
-    NumericalFailure, ProblemInstance, _as_count, _in_unit_interval, _positive, as_vector, norm
+    _TINY, Check, NumericalFailure, ProblemInstance, _as_count, _in_unit_interval, _non_negative,
+    _positive, as_vector, norm,
 )
 from .regroot import NEWTON_CAP, _damped_newton, _predict, _residual
 
@@ -27,9 +28,9 @@ __all__ = [
     "FlowResult",
     "stopping_time",
     "integrate_flow",
+    "check_flow",
     "StoppingResult",
     "solve_to_stopping",
-    "NoisyStoppingResult",
     "solve_noisy_to_stopping",
 ]
 
@@ -136,12 +137,52 @@ def integrate_flow(
     )
 
 
+def _stopping_ratio(gap: float, g0: float, eps: float) -> float:
+    """``|u(T) - V| / (g0 eps)``: a flow's gap to its root at the stopping time, over its bound."""
+    return gap / max(g0 * eps, _TINY)
+
+
+def check_flow(
+    traj: FlowResult, root_v, slack: float, decay_tol: float, at_stopping: bool = False
+) -> tuple[list[list[float]], list[Check]]:
+    """The rows ``[t, g, g0 exp(-t), |u - V|, slack g0 exp(-t) / eps]`` of ``traj``
+    against its root ``V = root_v``, and the checks read from them: ``residual-decay``,
+    the worst ``|g / (g0 exp(-t)) - 1|`` against ``decay_tol``; ``flow-limit-gap``, the
+    worst ``|u - V| eps / (g0 exp(-t))`` against ``slack``; and, if ``at_stopping`` (the
+    flow ran to ``stopping_time(eps)``), ``stopping-gap``, the last ``|u - V| / (g0 eps)``.
+    """
+    root_v = as_vector(root_v, traj.states.shape[1], "root_v")
+    slack, decay_tol = _non_negative(slack, "slack"), _non_negative(decay_tol, "decay_tol")
+    eps, g0 = traj.epsilon, float(traj.residuals[0])
+    rows, max_dev, max_gap_ratio = [], 0.0, 0.0
+    for t, u, g in zip(traj.times, traj.states, traj.residuals):
+        model = g0 * math.exp(-t)
+        dev = abs(g / model - 1.0) if model > 0.0 else (0.0 if g == 0.0 else math.inf)
+        gap = norm(u - root_v)
+        max_dev = max(max_dev, dev)
+        max_gap_ratio = max(max_gap_ratio, gap * eps / max(model, _TINY))
+        rows.append([float(t), float(g), model, gap, slack * (model / eps)])
+    checks = [
+        Check("residual-decay", max_dev, decay_tol),
+        Check("flow-limit-gap", max_gap_ratio, slack),
+    ]
+    if at_stopping:
+        checks.append(Check("stopping-gap", _stopping_ratio(rows[-1][3], g0, eps), slack))
+    return rows, checks
+
+
 @dataclass(frozen=True)
 class StoppingResult:
-    """Flow iterate at the eps-matched horizon, with its trajectory."""
+    """Flow at the eps-matched horizon; ``u_final`` (or ``w_final``, on noisy
+    data) is its last state."""
 
-    u_final: np.ndarray
     trajectory: FlowResult
+
+    @property
+    def u_final(self) -> np.ndarray:
+        return self.trajectory.states[-1]
+
+    w_final = u_final
 
 
 def solve_to_stopping(
@@ -158,20 +199,10 @@ def solve_to_stopping(
     regularized root, so pairing this with a decreasing epsilon sequence
     drives the iterate to the minimal-norm solution.
     """
-    traj = integrate_flow(
+    return StoppingResult(integrate_flow(
         problem, epsilon, stopping_time(epsilon), checkpoints=checkpoints, u0=u0,
         f_override=f_override, rtol=rtol,
-    )
-    return StoppingResult(u_final=traj.states[-1], trajectory=traj)
-
-
-@dataclass(frozen=True)
-class NoisyStoppingResult:
-    """Noisy-data flow iterate at the horizon matched to the noise level."""
-
-    w_final: np.ndarray
-    epsilon_used: float
-    trajectory: FlowResult
+    ))
 
 
 def solve_noisy_to_stopping(
@@ -181,14 +212,13 @@ def solve_noisy_to_stopping(
     b_exp: float,
     checkpoints: int = 10,
     rtol: float = 1e-8,
-) -> NoisyStoppingResult:
+) -> StoppingResult:
     """Run the flow on noisy data with the coupled choice eps = delta**b_exp.
 
     Any exponent in (0, 1) balances the two error terms: the gap to the
     noisy root scales like delta/eps -> 0 while eps -> 0 sends that root
-    to the minimal-norm solution.
+    to the minimal-norm solution.  The eps used is ``trajectory.epsilon``.
     """
     f_noisy = as_vector(f_noisy, problem.dim, "f_noisy")
     eps = _in_unit_interval(delta, "delta") ** _in_unit_interval(b_exp, "b_exp")
-    res = solve_to_stopping(problem, eps, checkpoints=checkpoints, f_override=f_noisy, rtol=rtol)
-    return NoisyStoppingResult(w_final=res.u_final, epsilon_used=eps, trajectory=res.trajectory)
+    return solve_to_stopping(problem, eps, checkpoints=checkpoints, f_override=f_noisy, rtol=rtol)

@@ -26,6 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .problem import (
+    _TINY,
+    Check,
     NumericalFailure,
     ProblemInstance,
     _as_count,
@@ -51,7 +53,6 @@ __all__ = [
 MAX_STEPS = 10_000  # run_iteration keeps every iterate and root it visits
 _MAX_FP_EVALS = 100
 _FP_RTOL = 1e-10
-_TINY = 1e-300  # floor of a denominator that may be zero
 
 
 def _check_h(h: float) -> float:
@@ -382,14 +383,10 @@ class StepBoundRecord:
 
 
 @dataclass(frozen=True)
-class RecursionReport:
-    records: list[StepBoundRecord]
-    observed: float
-    bound: float
+class RecursionReport(Check):
+    """The ``recursion-step`` check, with the step records it is the worst of."""
 
-    @property
-    def passed(self) -> bool:
-        return self.observed <= self.bound
+    records: list[StepBoundRecord]
 
 
 def verify_step_recursion(
@@ -433,4 +430,4 @@ def verify_step_recursion(
             )
         )
     observed = max(0.0, *(rec.excess for rec in records))
-    return RecursionReport(records=records, observed=observed, bound=slack)
+    return RecursionReport("recursion-step", observed, slack, records)

@@ -22,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "NumericalFailure",
+    "Check",
     "ProblemInstance",
     "MonotonicityReport",
     "TaylorReport",
@@ -37,12 +38,26 @@ __all__ = [
 
 MAX_TRIALS = 100_000  # check_monotonicity holds no memory; this bounds its running time
 _FLOAT = np.dtype(float)
+_TINY = 1e-300  # floor of a denominator that may be zero
 
 
 class NumericalFailure(RuntimeError):
     """A numerical procedure broke down (singular solve, stalled line
     search, step-size underflow, or an evaluator returning non-finite
     values)."""
+
+
+@dataclass(frozen=True)
+class Check:
+    """One bound check: ``name`` holds when ``observed <= bound`` (a NaN fails)."""
+
+    name: str
+    observed: float
+    bound: float
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.observed <= self.bound)
 
 
 def inner(u: np.ndarray, v: np.ndarray) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import _coerce, _non_negative, as_vector
+from .problem import _TINY, Check, _coerce, _non_negative, as_vector
 
 __all__ = [
     "simulate_recursion",
@@ -32,8 +32,6 @@ __all__ = [
     "ChainReport",
     "check_bound_chain",
 ]
-
-_TINY = 1e-300  # floor of a denominator that may be zero
 
 
 def _validate(g1, a, b):
@@ -113,16 +111,12 @@ def geometric_weighted_sum(g1, b, ratio) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ChainReport:
+class ChainReport(Check):
+    """The ``induction-chain`` check, with the three sequences it compares."""
+
     simulated: np.ndarray
     unrolled: np.ndarray
     majorant: np.ndarray
-    observed: float
-    bound: float
-
-    @property
-    def passed(self) -> bool:
-        return self.observed <= self.bound
 
 
 def check_bound_chain(g1, a, b, slack: float = 1e-12) -> ChainReport:
@@ -141,4 +135,4 @@ def check_bound_chain(g1, a, b, slack: float = 1e-12) -> ChainReport:
         (sim - unr) / np.maximum(unr, _TINY), (unr - maj) / np.maximum(maj, _TINY)
     )
     observed = max(0.0, float(excess.max()))
-    return ChainReport(simulated=sim, unrolled=unr, majorant=maj, observed=observed, bound=slack)
+    return ChainReport("induction-chain", observed, slack, sim, unr, maj)

@@ -20,12 +20,15 @@ import numpy as np
 
 from .linsolve import reg_solve
 from .problem import (
+    Check,
     NumericalFailure,
     ProblemInstance,
     _as_count,
+    _non_negative,
     _positive,
     apply_operator,
     as_vector,
+    inner,
     jacobian,
     norm,
 )
@@ -37,6 +40,7 @@ __all__ = [
     "default_newton_tol",
     "solve_regularized",
     "regularization_path",
+    "check_path",
     "minimal_norm_solution",
 ]
 
@@ -234,6 +238,21 @@ def regularization_path(
         norm(b.root.v - a.root.v) for a, b in zip(entries, entries[1:])
     ]
     return RegPathResult(entries=entries, root_gaps=gaps)
+
+
+def check_path(path: RegPathResult, y, norm_slack: float, inner_slack: float) -> list[Check]:
+    """The minimal-norm inequalities along ``path`` against its limit ``y``:
+    ``norm-dominance``, the largest ``|V_eps|`` against ``|y| (1 + norm_slack)``, and
+    ``error-inner-bound``, the largest ``|V_eps - y|^2 - (y, y - V_eps)`` against ``inner_slack``.
+    """
+    y = as_vector(y, path.entries[0].root.v.size, "y")
+    norm_bound = norm(y) * (1.0 + _non_negative(norm_slack, "norm_slack"))
+    inner_slack = _non_negative(inner_slack, "inner_slack")
+    worst = max(norm(e.root.v - y) ** 2 - inner(y, y - e.root.v) for e in path.entries)
+    return [
+        Check("norm-dominance", max(e.v_norm for e in path.entries), norm_bound),
+        Check("error-inner-bound", worst, inner_slack),
+    ]
 
 
 def minimal_norm_solution(problem: ProblemInstance) -> np.ndarray:

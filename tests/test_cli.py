@@ -528,8 +528,12 @@ class TestCliEntryPoint:
             ("flow", "problem.dim=2001", "dim must be an integer in [3, 2000], got 2001"),
             ("flow", 'problem={"corpus": "hilbert-psd", "dim": 0}',
              "dim must be an integer in [1, 2000], got 0"),
+            # the value as given, not the 301 digits of int(1e300)
+            ("flow", "problem.dim=1e300", "dim must be an integer in [3, 2000], got 1e+300"),
+            ("flow", "problem.dim=40.5", "dim must be an integer in [3, 2000], got 40.5"),
         ],
-        ids=["lemma-a", "lemma-b", "dim-0", "dim-2", "dim-2001", "hilbert-dim-0"],
+        ids=["lemma-a", "lemma-b", "dim-0", "dim-2", "dim-2001", "hilbert-dim-0", "dim-1e300",
+             "dim-40.5"],
     )
     def test_refusal_shows_the_value_and_its_range(self, tmp_path, capsys, kind, setting, shown):
         code, _, err = self.run(

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from dsm import (
+    FlowResult,
     NumericalFailure,
     ProblemInstance,
     add_noise,
     apply_operator,
+    check_flow,
     default_newton_tol,
     integrate_flow,
     jacobian,
@@ -272,6 +274,52 @@ class TestIntegrateFlow:
             integrate_flow(p, 0.1, 1.0, checkpoints=1)
 
 
+class TestCheckFlow:
+    # g0 = 2 and eps = 0.5; the residuals sit 0, +25% and -10% off the model
+    # g0 exp(-t), and the states' gaps to the root 0 are 5, 1 and 0.05
+    TRAJ = FlowResult(
+        epsilon=0.5,
+        times=np.array([0.0, 1.0, 2.0]),
+        states=np.array([[3.0, 4.0], [0.6, 0.8], [0.03, 0.04]]),
+        residuals=np.array([2.0, 1.25 * 2.0 * math.exp(-1.0), 0.9 * 2.0 * math.exp(-2.0)]),
+        accepted=0,
+        rejected=0,
+        rhs_evals=0,
+    )
+
+    def test_known_table_and_checks(self):
+        rows, checks = check_flow(self.TRAJ, [0.0, 0.0], slack=1.05, decay_tol=1e-3)
+        model = [2.0, 2.0 * math.exp(-1.0), 2.0 * math.exp(-2.0)]
+        np.testing.assert_allclose(
+            rows,
+            [
+                [0.0, 2.0, model[0], 5.0, 1.05 * model[0] / 0.5],
+                [1.0, 1.25 * model[1], model[1], 1.0, 1.05 * model[1] / 0.5],
+                [2.0, 0.9 * model[2], model[2], 0.05, 1.05 * model[2] / 0.5],
+            ],
+            rtol=1e-15,
+        )
+        assert [c.name for c in checks] == ["residual-decay", "flow-limit-gap"]
+        decay, limit = checks
+        assert decay.observed == pytest.approx(0.25, rel=1e-14)
+        assert decay.bound == 1e-3 and not decay.passed
+        # the worst |u - V| eps / (g0 exp(-t)) is at t = 0: 5 * 0.5 / 2
+        assert limit.observed == 1.25
+        assert limit.bound == 1.05 and not limit.passed
+
+    def test_stopping_gap_only_when_asked_for(self):
+        _, checks = check_flow(self.TRAJ, [0.0, 0.0], 1.05, 0.3, at_stopping=True)
+        assert [c.name for c in checks] == ["residual-decay", "flow-limit-gap", "stopping-gap"]
+        # the last gap over g0 eps: 0.05 / (2 * 0.5)
+        assert checks[2].observed == pytest.approx(0.05, rel=1e-15)
+        assert checks[2].bound == 1.05
+        assert [c.passed for c in checks] == [True, False, True]
+
+    def test_a_root_of_the_wrong_length_is_refused(self):
+        with pytest.raises(ValueError, match="root_v has length 3, expected 2"):
+            check_flow(self.TRAJ, [0.0, 0.0, 0.0], 1.05, 1e-3)
+
+
 class TestSolveToStopping:
     def test_final_state_near_regularized_root(self, rank_deficient_linear, cubic):
         for p in (rank_deficient_linear, cubic):
@@ -308,7 +356,7 @@ class TestSolveNoisyToStopping:
         delta = 1e-4
         f_noisy = add_noise(p.data, delta, seed=5)
         res = solve_noisy_to_stopping(p, f_noisy, delta, 0.5)
-        assert res.epsilon_used == pytest.approx(1e-2, rel=1e-12)
+        assert res.trajectory.epsilon == pytest.approx(1e-2, rel=1e-12)
         assert res.trajectory.times[-1] == pytest.approx(
             -2.0 * math.log(1e-2), rel=1e-12
         )
@@ -318,7 +366,7 @@ class TestSolveNoisyToStopping:
             delta = 1e-3
             f_noisy = add_noise(p.data, delta, seed=11 + k)
             res = solve_noisy_to_stopping(p, f_noisy, delta, 0.5)
-            eps = res.epsilon_used
+            eps = res.trajectory.epsilon
             w = solve_regularized(p, eps, f_override=f_noisy)
             g0 = res.trajectory.residuals[0]
             assert norm(res.w_final - w.v) <= 1.05 * g0 * eps
@@ -337,7 +385,7 @@ class TestSolveNoisyToStopping:
         f_noisy = add_noise(p.data, delta, seed=7)
         noisy = solve_noisy_to_stopping(p, f_noisy, delta, b_exp)
         plain = solve_to_stopping(p, delta**b_exp, f_override=f_noisy)
-        assert noisy.epsilon_used == delta**b_exp
+        assert noisy.trajectory.epsilon == delta**b_exp
         assert np.array_equal(noisy.w_final, plain.u_final)
         assert np.array_equal(noisy.trajectory.states, plain.trajectory.states)
         assert np.array_equal(noisy.trajectory.residuals, plain.trajectory.residuals)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import dsm.iterate
 from dsm import (
+    Check,
     NumericalFailure,
     Schedule,
     StepRule,
@@ -277,6 +278,11 @@ class TestStepRecursionCertificate:
             report = verify_step_recursion(p, hist)
             assert report.passed
             assert all(rec.excess <= report.bound for rec in report.records)
+
+    def test_report_is_the_recursion_step_check(self, cubic, oracle_run):
+        report = verify_step_recursion(cubic, oracle_run, slack=1e-8)
+        assert isinstance(report, Check)
+        assert (report.name, report.bound) == ("recursion-step", 1e-8)
 
     def test_linear_constant_schedule_exact_contraction(self, hilbert_linear):
         hist = run_iteration(

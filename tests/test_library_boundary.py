@@ -11,8 +11,8 @@ least 1, a string or a sequence of numbers) must reject, with
 values follow: Infinity and NaN are not numbers, a bool is not a number, a
 non-integral number is not an integer.
 
-Problem, schedule, step-rule and history arguments are not mutated: they
-are the library's own types, and their constructors are cases here.
+Problem, schedule, step-rule, history, flow and path arguments are not
+mutated: they are the library's own types, and their constructors are cases here.
 ``main`` and ``run_experiment`` are the config boundary test's.  Huge
 values run in a child process under an address-space limit
 (``conftest.run_capped``), so that a missing size cap fails the test
@@ -38,7 +38,9 @@ from dsm import (
     as_matrix,
     as_vector,
     check_bound_chain,
+    check_flow,
     check_monotonicity,
+    check_path,
     default_newton_tol,
     exponential_majorant,
     geometric_weighted_sum,
@@ -75,6 +77,8 @@ A = np.eye(3)
 B = np.ones(3)
 WEIGHTS = [0.25, 0.5, 0.1]
 HISTORY = run_iteration(P, Schedule.constant(0.1), StepRule.constant_h(0.5), 2, record_roots=True)
+FLOW = integrate_flow(P, 0.5, 1.0, checkpoints=2)
+PATH = regularization_path(P, [0.1, 0.01])
 SPEC = {"corpus": "cubic-monotone", "dim": 4}
 CHAIN = {"g1": "number", "a": "vector", "b": "vector"}
 
@@ -120,6 +124,11 @@ CALLS = {
         dict(problem=P, epsilons=[0.1, 0.01]),
         {"epsilons": "numbers"},
     ),
+    "check_path": (
+        check_path,
+        dict(path=PATH, y=P.known_solution, norm_slack=1e-8, inner_slack=1e-9),
+        {"y": "vector", "norm_slack": "number", "inner_slack": "number"},
+    ),
     "minimal_norm_solution": (minimal_norm_solution, dict(problem=P), {}),
     "stopping_time": (stopping_time, dict(epsilon=0.1), {"epsilon": "number"}),
     "integrate_flow": (
@@ -129,6 +138,11 @@ CALLS = {
             "epsilon": "number", "t_end": "number", "checkpoints": "count", "u0": "vector?",
             "f_override": "vector?", "rtol": "number", "atol": "number",
         },
+    ),
+    "check_flow": (
+        check_flow,
+        dict(traj=FLOW, root_v=U, slack=1.05, decay_tol=1e-3),
+        {"root_v": "vector", "slack": "number", "decay_tol": "number", "at_stopping": "any"},
     ),
     "solve_to_stopping": (
         solve_to_stopping,

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dsm import (
+    Check,
     NumericalFailure,
     ProblemInstance,
     apply_operator,
@@ -125,6 +129,28 @@ class TestVectorBasics:
             as_matrix(m, n, "a")
         with pytest.raises(ValueError, match="non-finite"):
             as_matrix(np.asfortranarray(m))
+
+
+class TestCheck:
+    @pytest.mark.parametrize(
+        "observed, bound, passed",
+        [
+            (0.5, 1.0, True),
+            (1.0, 1.0, True),
+            (math.nextafter(1.0, 2.0), 1.0, False),
+            (-math.inf, 0.0, True),
+            (math.nan, 1.0, False),
+            (0.0, math.nan, False),
+        ],
+    )
+    def test_passed_is_observed_at_most_bound(self, observed, bound, passed):
+        assert Check("c", observed, bound).passed is passed
+
+    def test_is_a_frozen_record(self):
+        check = Check("residual-decay", 0.5, 1.0)
+        assert (check.name, check.observed, check.bound) == ("residual-decay", 0.5, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            check.observed = 2.0
 
 
 class TestProblemInstance:

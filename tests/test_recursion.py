@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsm import (
+    Check,
     check_bound_chain,
     exponential_majorant,
     geometric_weighted_sum,
@@ -199,6 +200,11 @@ class TestGeometricWeightedSum:
 
 
 class TestBoundChain:
+    def test_report_is_the_induction_chain_check(self):
+        report = check_bound_chain(1.0, [0.25, 0.5], [0.1, 0.0], slack=1e-12)
+        assert isinstance(report, Check)
+        assert (report.name, report.bound) == ("induction-chain", 1e-12)
+
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
     def test_random_admissible_sequences(self, seed):

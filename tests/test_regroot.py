@@ -10,6 +10,7 @@ from dsm import (
     ProblemInstance,
     add_noise,
     apply_operator,
+    check_path,
     inner,
     jacobian,
     make_problem,
@@ -169,6 +170,31 @@ class TestRegularizationPath:
             assert gap == pytest.approx(
                 norm(pair[1].root.v - pair[0].root.v), rel=1e-12
             )
+
+
+class TestCheckPath:
+    # B = diag(1, 0) and f = (1, 0): V_eps = (1 / (1 + eps), 0) and y = (1, 0), so
+    # |V_eps| = 1 / (1 + eps) and |V_eps - y|^2 - (y, y - V_eps) = -eps / (1 + eps)^2,
+    # both largest at the last eps
+    PATH = regularization_path(diag_linear_problem([1.0, 0.0], [1.0, 0.0]), [0.5, 0.1, 0.01])
+
+    def test_closed_form_on_a_kernel(self):
+        dominance, inner_bound = check_path(self.PATH, [1.0, 0.0], 1e-8, 1e-9)
+        assert dominance.name == "norm-dominance"
+        assert dominance.observed == pytest.approx(1.0 / 1.01, rel=1e-14)
+        assert dominance.bound == 1.0 + 1e-8
+        assert inner_bound.name == "error-inner-bound"
+        assert inner_bound.observed == pytest.approx(-0.01 / 1.01**2, rel=1e-12)
+        assert inner_bound.bound == 1e-9
+        assert dominance.passed and inner_bound.passed
+
+    def test_a_shorter_limit_fails_both(self):
+        # against y = (0.5, 0): |V| = 1/1.01 > 0.5, and (v - 0.5)^2 - 0.5 (0.5 - v) = (v - 0.5) v
+        v = 1.0 / 1.01
+        dominance, inner_bound = check_path(self.PATH, [0.5, 0.0], 0.0, 0.0)
+        assert dominance.bound == 0.5 and not dominance.passed
+        assert inner_bound.observed == pytest.approx((v - 0.5) * v, rel=1e-12)
+        assert not inner_bound.passed
 
 
 class TestMinimalNormSolution:
