@@ -9,12 +9,12 @@ contraction ``g_{n+1} <= (1 - 0.5 h_n) g_n + |V_{n+1} - V_n|``, which
 
 Three schedules are provided.  The oracle schedule ``eps_n = 2 c g_n``
 is implicit (g_n depends on eps_n through the root) and, started from
-``eps_{n-1}^3 eps_{n-3} / eps_{n-2}^3`` with the previous step's secant
-slope carried over, takes about 4.1 root solves per step, each started
-from a quadratic predictor on the root curve ``eps -> V_eps``: it is
-meant for verification at corpus scale.  The practical mode is the
-geometric ``eps_n = max(eps_min, eps0 * q^n)``; a constant one serves
-closed-form tests.
+``log eps`` extrapolated cubically in n (step 0 from its a-priori bound)
+with the previous step's secant slope carried over, takes about 3.8 root
+solves per step, each started from a degree-5 predictor on the root
+curve ``eps -> V_eps``: it is meant for verification at corpus scale.
+The practical mode is the geometric ``eps_n = max(eps_min, eps0 * q^n)``;
+a constant one serves closed-form tests.
 """
 
 from __future__ import annotations
@@ -37,7 +37,14 @@ from .problem import (
     as_vector,
     norm,
 )
-from .regroot import RegRoot, _newton_direction, _predict, _residual, solve_regularized
+from .regroot import (
+    PREDICT_NODES,
+    RegRoot,
+    _newton_direction,
+    _predict,
+    _residual,
+    solve_regularized,
+)
 
 __all__ = [
     "StepRule",
@@ -53,6 +60,7 @@ __all__ = [
 MAX_STEPS = 10_000  # run_iteration keeps every iterate and root it visits
 _MAX_FP_EVALS = 100
 _FP_RTOL = 1e-10
+_CUBIC_TRUST = 2.0  # the cubic first guess must lie within this factor of the quadratic
 
 
 def _check_h(h: float) -> float:
@@ -118,9 +126,9 @@ class Schedule:
     ratio q each step, clamped from below by ``floor``.  ``oracle`` solves
     ``eps = max(2 c g(eps), floor)`` with ``g(eps) = |u_n - V_eps|`` and
     c half the problem's curvature bound, by a bracketed secant that starts
-    at ``eps_{n-1}^3 eps_{n-3} / eps_{n-2}^3``, steps on the previous step's
-    slope and returns its feasible end, so ``eps_n >= 2 c g_n`` holds
-    exactly, at about 4.1 root solves per step.
+    at ``log eps`` extrapolated cubically in n, steps on the previous
+    step's slope and returns its feasible end, so ``eps_n >= 2 c g_n``
+    holds exactly, at about 3.8 root solves per step.
     When that bound is zero (linear problems) the oracle value degenerates
     to zero, so the floor must be positive and becomes the schedule.
     """
@@ -208,9 +216,13 @@ def _oracle_epsilon(
 ) -> tuple[RegRoot, Optional[float]]:
     """Solve ``phi(eps) = eps - max(2 c |u - V_eps|, floor) = 0`` at step n.
 
-    The first evaluation is at ``eps_{n-1}^3 eps_{n-3} / eps_{n-2}^3``,
-    ``log eps`` extrapolated quadratically in n from the last three steps
-    (``known``; ``eps_{n-1}^2 / eps_{n-2}`` with two).  The second is a
+    The first evaluation at step 0 is ``c |u| + sqrt(c^2 |u|^2 + 2 c
+    |B(u) - f|)``, where ``phi >= 0`` because strong monotonicity gives
+    ``|u - V_eps| <= |B(u) + eps u - f| / eps``.  Later it is ``log eps``
+    extrapolated in n from the last steps (``known``): the cubic through
+    four, kept only within a factor ``_CUBIC_TRUST`` (2) of the quadratic
+    through three, ``eps_{n-1}^3 eps_{n-3} / eps_{n-2}^3``, which it falls
+    back to (``eps_{n-1}^2 / eps_{n-2}`` with two).  The second is a
     secant step on ``slope``, the previous step's slope of ``phi`` between
     its last two evaluations, when that is positive and the step lands at
     or above the floor.  Otherwise, and after it, the fixed-point map
@@ -220,13 +232,13 @@ def _oracle_epsilon(
     falsi with Anderson-Bjorck damping of a stale end, aimed at the middle
     of the acceptance window, with bisection as the fallback when the
     secant leaves the bracket.  Each root solve starts from
-    :func:`_predict` on the roots of the last three steps (``known``) and
+    :func:`_predict` on the roots of the last six steps (``known``) and
     every root evaluated since.  Only an evaluated root with
     ``phi >= 0`` is returned, the first with ``phi <= 1e-10 eps`` or else
     the feasible end ``hi`` once ``|hi - lo| <= 1e-10 hi``, so
     ``eps >= 2 c g`` holds exactly for the root and gap the iteration
-    records.  The benchmark's corpus takes about 4.1 root solves per step
-    and 0.94 Newton iterations per root solve.  Returns the
+    records.  The benchmark's corpus takes about 3.8 root solves per step
+    and 0.65 Newton iterations per root solve.  Returns the
     :class:`RegRoot`, which carries eps, and this step's slope for the
     next (None after a single evaluation).
     """
@@ -238,11 +250,20 @@ def _oracle_epsilon(
             )
         return solve_regularized(problem, floor, init=_predict(known, floor)), None
 
-    warm_eps = known[-1][0] if known else 1.0
+    if known:
+        warm_eps = known[-1][0]
+    else:  # the a-priori bound, feasible: |u - V_eps| <= |B(u) + eps u - f| / eps
+        a, r = c * norm(u), norm(_residual(problem, 0.0, u, problem.data))
+        warm_eps = a + math.sqrt(a * a + 2.0 * c * r)
     if len(known) > 2:  # eps_{n-1}^3 eps_{n-3} / eps_{n-2}^3: log eps quadratic in n
         warm_eps *= (warm_eps / known[-2][0]) ** 2 * (known[-3][0] / known[-2][0])
     elif len(known) > 1:  # eps_{n-1}^2 / eps_{n-2}: the last ratio carried on
         warm_eps *= warm_eps / known[-2][0]
+    if len(known) > 3:  # log eps cubic in n, kept within _CUBIC_TRUST of the quadratic
+        e1, e2, e3, e4 = (point[0] for point in known[-1:-5:-1])
+        cubic = (e1 / e2) * (e3 / e2) * (e3 / e2) * (e3 / e4)  # inf or 0, not an error
+        if 1.0 / _CUBIC_TRUST <= cubic <= _CUBIC_TRUST:
+            warm_eps *= cubic
     eps = max(warm_eps, floor, _TINY)
     known = list(known)
     lo = hi = None  # bracket ends [eps, psi, root]; lo < hi is not assumed
@@ -322,7 +343,7 @@ def run_iteration(
     u = np.zeros(problem.dim) if u0 is None else as_vector(u0, problem.dim, "u0").copy()
 
     rows: list[dict] = []
-    known: list[tuple[float, np.ndarray]] = []  # (eps, V_eps) of the last three roots
+    known: list[tuple[float, np.ndarray]] = []  # (eps, V_eps) of the last six roots
     slope = None  # the oracle's last secant slope, carried to the next step
     converged = False
     for n in range(max_n + 1):
@@ -351,7 +372,7 @@ def run_iteration(
             )
         )
         if root is not None:
-            known = known[-2:] + [(eps_n, root.v)]
+            known = known[1 - PREDICT_NODES :] + [(eps_n, root.v)]
         if res_norm <= stop_residual:
             converged = True
             break

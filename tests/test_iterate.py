@@ -431,8 +431,9 @@ class TestMatchedSchedule:
         # 901 from eps_{n-1}^2 / eps_{n-2}, 853 when every solve also starts
         # from the quadratic predictor on eps -> V_eps, 662 when the first
         # guess extrapolates log eps quadratically and the second evaluation
-        # is a secant step on the carried slope; the bound is 662 plus a 2%
-        # margin, below 853
+        # is a secant step on the carried slope, 610 when the guess is cubic
+        # in n, the root curve goes through six roots and step 0 starts at
+        # its a-priori bound; the bound is 610 plus a 2% margin, below 662
         calls = []
         solve = dsm.iterate.solve_regularized
 
@@ -448,7 +449,7 @@ class TestMatchedSchedule:
             c = 0.5 * p.m2_bound
             assert all(s.epsilon >= 2.0 * c * s.gap for s in hist.steps)
             assert verify_step_recursion(p, hist).passed
-        assert len(calls) <= 675
+        assert len(calls) <= 622
 
     @pytest.mark.parametrize("make, dim, rule", BENCHMARK_RUNS)
     def test_every_step_after_the_third_takes_at_most_six_root_solves(
@@ -478,9 +479,10 @@ class TestMatchedSchedule:
         assert max(per_step[3:]) <= 6
 
     def test_predicted_starts_halve_newton_iterations(self, monkeypatch):
-        # the quadratic predictor on eps -> V_eps: 1.06 Newton iterations per
-        # root solve on these two benchmark problems at seed 1, against 1.96
-        # when each solve starts from a single earlier root
+        # the degree-5 predictor on eps -> V_eps: 0.65 Newton iterations per
+        # root solve on these two benchmark problems at seed 1, against 1.06
+        # with the quadratic one and 1.96 when each solve starts from a
+        # single earlier root; the bound is 0.65 plus a 10% margin
         roots = []
         solve = dsm.iterate.solve_regularized
 
@@ -497,7 +499,7 @@ class TestMatchedSchedule:
             p = make(dim=dim, seed=1)
             hist = run_iteration(p, Schedule.oracle(), rule, 40)
             assert verify_step_recursion(p, hist).observed == 0.0
-        assert sum(root.newton_iters for root in roots) / len(roots) <= 1.4
+        assert sum(root.newton_iters for root in roots) / len(roots) <= 0.71
 
     def test_failure_names_layer_step_and_bracket(self, cubic, monkeypatch):
         monkeypatch.setattr(dsm.iterate, "_MAX_FP_EVALS", 2)
@@ -566,6 +568,68 @@ class TestCarriedSlope:
         assert len(evals) < len(hop)
 
 
+class _Stop(Exception):
+    pass
+
+
+def first_evaluation(problem, u, known, monkeypatch):
+    """The root of the oracle's first root solve at step ``len(known)``."""
+    seen = []
+    solve = dsm.iterate.solve_regularized
+
+    def recorded(prob, eps, **kwargs):
+        seen.append(solve(prob, eps, **kwargs))
+        raise _Stop
+
+    monkeypatch.setattr(dsm.iterate, "solve_regularized", recorded)
+    with pytest.raises(_Stop):
+        dsm.iterate._oracle_epsilon(problem, u, 0.5 * problem.m2_bound, 0.0, known, len(known))
+    monkeypatch.undo()
+    return seen[0]
+
+
+class TestFirstGuess:
+    """The first evaluation of a step: the a-priori bound at step 0, then
+    ``log eps`` extrapolated in n."""
+
+    @staticmethod
+    def guess(cubic, logs, monkeypatch):
+        known = [(math.exp(x), np.zeros(cubic.dim)) for x in logs]
+        return first_evaluation(cubic, np.zeros(cubic.dim), known, monkeypatch).epsilon
+
+    def test_exact_when_log_eps_is_a_cubic_in_n(self, cubic, monkeypatch):
+        # third difference 6 * 0.02: the quadratic guess is 11% low
+        def log_eps(n):
+            return -0.5 * n - 0.1 * n**2 + 0.02 * n**3
+
+        guess = self.guess(cubic, [log_eps(n) for n in range(4)], monkeypatch)
+        assert guess == pytest.approx(math.exp(log_eps(4)), rel=1e-12)
+
+    def test_the_cubic_is_kept_within_a_factor_of_two_of_the_quadratic(self, cubic, monkeypatch):
+        # log eps of steps 0-2 lies on the line -n and step 3 lies log(f)
+        # above it: the cubic guess is exp(-4) f^4, the factor f above the
+        # quadratic exp(-4) f^3
+        factors = (1.9, 1 / 1.9, 2.1, 1 / 2.1)
+        guesses = [
+            self.guess(cubic, [0.0, -1.0, -2.0, -3.0 + math.log(f)], monkeypatch) / math.exp(-4.0)
+            for f in factors
+        ]
+        expected = [1.9**4, 1.9**-4, 2.1**3, 2.1**-3]
+        assert guesses == pytest.approx(expected, rel=1e-12)
+        # a cubic guess past the float range falls back to the quadratic, 1e10
+        known = [(1e-300, np.zeros(cubic.dim))] + [(1e10, np.zeros(cubic.dim))] * 3
+        assert first_evaluation(cubic, np.zeros(cubic.dim), known, monkeypatch).epsilon == 1e10
+
+    @pytest.mark.parametrize("scale", [0.0, 1e2])
+    @pytest.mark.parametrize("make", [make_cubic_monotone, make_random_monotone])
+    def test_step_0_starts_feasible(self, make, scale, monkeypatch):
+        # |u - V_eps| <= |B(u) + eps u - f| / eps makes the a-priori bound feasible
+        p = make(dim=20, seed=1)
+        u0 = scale * np.array([(-1.0) ** i for i in range(p.dim)])
+        root = first_evaluation(p, u0, [], monkeypatch)
+        assert root.epsilon - p.m2_bound * norm(u0 - root.v) >= 0.0
+
+
 class TestFarStart:
     # the oracle from u0 = s (1, -1, 1, ...) on the benchmark's problems at
     # seed 1; cubic-monotone fails the contraction at s = 1e4 (observed 0.33
@@ -583,17 +647,56 @@ class TestFarStart:
         assert verify_step_recursion(p, hist).passed == expected
 
 
-def quadratic_curve(eps):
-    return np.array([1.0 + 2.0 * eps - 3.0 * eps**2, -(eps**2), 5.0])
+def far_start_verdict(make, dim, h, scale, direction):
+    """The ``recursion-step`` verdict of the oracle from a far start, as the
+    quadratic first guess and the three-root predictor gave it: the
+    contraction fails on ``cubic-monotone`` from |u0| = 1e4 on (the
+    working-ball defect above), and one run stalls its Newton line search."""
+    if (make, dim, h, scale, direction) == (make_cubic_monotone, 20, 0.5, 1e4, "+y"):
+        return "NumericalFailure"
+    return "fail" if make is make_cubic_monotone and scale >= 1e4 else "pass"
+
+
+class TestFarStartGrid:
+    # without a guard on the cubic first guess, cubic-monotone d10 at h = 1
+    # from 1e6 along +y overflows in the operator
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("direction", ["alternating", "random", "+y", "-y"])
+    @pytest.mark.parametrize("scale", [1.0, 1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("h", [1.0, 0.5])
+    @pytest.mark.parametrize("dim", [10, 20, 50])
+    @pytest.mark.parametrize("make", [make_cubic_monotone, make_random_monotone])
+    def test_recursion_verdict_from_a_far_start(self, make, dim, h, scale, direction):
+        p = make(dim=dim, seed=1)
+        d = {
+            "alternating": np.array([(-1.0) ** i for i in range(dim)]),
+            "random": np.random.default_rng(dim).standard_normal(dim),
+            "+y": p.known_solution,
+            "-y": -p.known_solution,
+        }[direction]
+        rule = StepRule.constant_p(SQRT_E) if h == 1.0 else StepRule.constant_h(h)
+        assert rule.h_at(0) == h
+        try:
+            hist = run_iteration(p, Schedule.oracle(), rule, 40, u0=scale * d / norm(d))
+        except NumericalFailure:
+            verdict = "NumericalFailure"
+        else:
+            verdict = "pass" if verify_step_recursion(p, hist).passed else "fail"
+        assert verdict == far_start_verdict(make, dim, h, scale, direction)
+
+
+def quintic_curve(eps):
+    return np.array([1.0 + 2.0 * eps - 3.0 * eps**2, eps**3 - 4.0 * eps**5, 5.0 - eps**4])
 
 
 class TestPredict:
-    def test_exact_on_a_vector_quadratic_through_the_three_nearest(self):
-        # the far node off the curve is not among the three nearest any eps here
-        known = [(e, quadratic_curve(e)) for e in (0.1, 0.4, 0.2)] + [(5.0, np.full(3, 1e6))]
-        for eps in (0.05, 0.15, 0.3, 0.5):
+    def test_exact_on_a_vector_quintic_through_the_six_nearest(self):
+        # the far node off the curve is not among the six nearest any eps here
+        nodes = (0.1, 0.4, 0.2, 0.3, 0.25, 0.15)
+        known = [(e, quintic_curve(e)) for e in nodes] + [(5.0, np.full(3, 1e6))]
+        for eps in (0.05, 0.15, 0.35, 0.5):
             np.testing.assert_allclose(
-                _predict(known, eps), quadratic_curve(eps), rtol=1e-13, atol=1e-13
+                _predict(known, eps), quintic_curve(eps), rtol=1e-12, atol=1e-12
             )
 
     def test_one_known_root_is_the_start(self):
