@@ -64,7 +64,7 @@ def _run_flow(cfg: dict, out_dir: Path):
     # the root at s = exp(-t) = 0, started from the flow's curve extrapolated there
     tail = [(math.exp(-t), u) for t, u in zip(traj.times[-3:], traj.states[-3:])]
     root = regroot.solve_regularized(problem, eps, init=regroot._predict(tail, 0.0))
-    rows, checks = flow.check_flow(traj, root.v, cfg["slack"], cfg["decay_tol"], at_stopping)
+    rows, checks = flow.check_flow(traj, root.v, at_stopping)
 
     _write_trajectory(out_dir / "trajectory.csv", traj)
     run = {
@@ -105,7 +105,7 @@ def _run_iterate(cfg: dict, out_dir: Path):
     tracked = history.steps[0].gap is not None
     checks = []
     if tracked and len(history.steps) >= 2:
-        checks.append(iterate.verify_step_recursion(problem, history, slack=cfg["slack"]))
+        checks.append(iterate.verify_step_recursion(problem, history))
     rows = [
         [s.index, s.epsilon, s.h, s.residual, s.gap, s.root_gap] for s in history.steps
     ]
@@ -141,9 +141,7 @@ def _run_reg_path(cfg: dict, out_dir: Path):
         gap = path.root_gaps[i] if i < len(path.root_gaps) else None
         rows.append([entry.epsilon, entry.v_norm, entry.error_to_y, gap])
 
-    checks = [] if y is None else regroot.check_path(
-        path, y, cfg["norm_slack"], cfg["inner_slack"]
-    )
+    checks = [] if y is None else regroot.check_path(path, y)
 
     run = {
         "label": "reg-path",
@@ -170,7 +168,7 @@ def _run_reg_path(cfg: dict, out_dir: Path):
 
 
 def _run_noise_study(cfg: dict, out_dir: Path):
-    deltas, b_exp, slack = cfg["deltas"], cfg["b_exp"], cfg["slack"]
+    deltas, b_exp = cfg["deltas"], cfg["b_exp"]
     stopping = b_exp is not None
     if stopping == (cfg["epsilons"] is not None):
         raise ValueError("provide exactly one of 'epsilons' (grid) or 'b_exp' (stopping rule)")
@@ -201,7 +199,7 @@ def _run_noise_study(cfg: dict, out_dir: Path):
                 clean[eps] = regroot.solve_regularized(problem, eps).v
             w = regroot.solve_regularized(problem, eps, f_override=f_noisy, init=clean[eps]).v
             gap = norm(w - clean[eps])
-            rows.append([delta, eps, gap, slack * delta / eps])
+            rows.append([delta, eps, gap, flow.GAP_SLACK * delta / eps])
             max_ratio = max(max_ratio, gap * eps / delta)
         if stopping:
             # the stopping rule's list holds one eps, so w and rows[-1] belong to it
@@ -209,7 +207,7 @@ def _run_noise_study(cfg: dict, out_dir: Path):
             stop_gap = norm(result.w_final - w)
             err = norm(result.w_final - y)
             errors.append(err)
-            rows[-1] += [stop_gap, slack * g0d * eps, err]
+            rows[-1] += [stop_gap, flow.GAP_SLACK * g0d * eps, err]
             max_stop_ratio = max(max_stop_ratio, flow._stopping_ratio(stop_gap, g0d, eps))
             traj_name = f"trajectory-{i:02d}.csv"
             _write_trajectory(out_dir / traj_name, result.trajectory)
@@ -227,10 +225,10 @@ def _run_noise_study(cfg: dict, out_dir: Path):
                 }
             )
 
-    checks = [Check("noise-gap", max_ratio, slack)]
+    checks = [Check("noise-gap", max_ratio, flow.GAP_SLACK)]
     metrics = {"cells": len(rows), "max_gap_ratio": max_ratio}
     if stopping:
-        checks.append(Check("noisy-stopping-gap", max_stop_ratio, slack))
+        checks.append(Check("noisy-stopping-gap", max_stop_ratio, flow.GAP_SLACK))
         if len(errors) >= 2:
             # errors must strictly decrease: the bound is the largest double below 1
             worst = max(nxt / max(prev, _TINY) for prev, nxt in zip(errors, errors[1:]))
@@ -270,7 +268,7 @@ def _run_lemma_sim(cfg: dict, out_dir: Path):
     horizon = cfg["horizon"]
     a = _sequence(cfg["a"], horizon, "a")
     b = _sequence(cfg["b"], horizon, "b")
-    chain = recursion.check_bound_chain(cfg["g1"], a, b, slack=cfg["slack"])
+    chain = recursion.check_bound_chain(cfg["g1"], a, b)
     rows = [
         list(row) for row in zip(
             range(horizon + 1),
@@ -333,8 +331,6 @@ _FLOW_FIELDS = {
     "epsilon": (_positive, 1e-2),
     "t_end": ((_positive, None), None, MAX_T_END),
     **_FLOW_TOLERANCES,
-    "decay_tol": (_non_negative, 1e-3),
-    "slack": (_non_negative, 1.05),
     "u0": (([float], None), None),
     "seed": (_seed, 0),
 }
@@ -345,15 +341,12 @@ _ITERATE_FIELDS = {
     "max_n": (_as_count, 60, iterate.MAX_STEPS),
     "stop_residual": ((_non_negative, None), None),
     "record_roots": (bool, False),
-    "slack": (_non_negative, 1e-8),
     "u0": (([float], None), None),
     "seed": (_seed, 0),
 }
 _REG_PATH_FIELDS = {
     "problem": (dict, REQUIRED),
     "epsilons": (regroot._eps_grid, REQUIRED),
-    "norm_slack": (_non_negative, 1e-8),
-    "inner_slack": (_non_negative, 1e-9),
     "seed": (_seed, 0),
 }
 _NOISE_STUDY_FIELDS = {
@@ -361,7 +354,6 @@ _NOISE_STUDY_FIELDS = {
     "deltas": ([_in_unit_interval], REQUIRED),
     "epsilons": (([_positive], None), None),
     "b_exp": ((_in_unit_interval, None), None),
-    "slack": (_non_negative, 1.05),
     **_FLOW_TOLERANCES,
     "seed": (_seed, 0),
 }
@@ -370,7 +362,6 @@ _LEMMA_SIM_FIELDS = {
     "b": ((float, [float], _SEQUENCES), REQUIRED),
     "horizon": (_as_count, REQUIRED, MAX_HORIZON),
     "g1": (_non_negative, 1.0),
-    "slack": (_non_negative, 1e-12),
     "seed": (_seed, 0),
 }
 # kind -> (runner, fields, the CSV that holds the summary table)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import (
-    _TINY, Check, NumericalFailure, ProblemInstance, _as_count, _in_unit_interval, _non_negative,
-    _positive, as_vector, norm,
+    _TINY, Check, NumericalFailure, ProblemInstance, _as_count, _in_unit_interval, _positive,
+    as_vector, norm,
 )
 from .regroot import NEWTON_CAP, _damped_newton, _predict, _residual
 
@@ -36,6 +36,8 @@ __all__ = [
 
 MAX_CHECKPOINTS = 1000  # integrate_flow holds (checkpoints + 1) x dim states
 ROUNDOFF_FACTOR = 16.0  # c of each checkpoint's roundoff floor; see integrate_flow
+GAP_SLACK = 1.05  # bound of flow-limit-gap and stopping-gap (and of the noise study's gap checks)
+DECAY_TOL = 1e-3  # bound of residual-decay
 
 
 def stopping_time(epsilon: float) -> float:
@@ -143,31 +145,33 @@ def _stopping_ratio(gap: float, g0: float, eps: float) -> float:
 
 
 def check_flow(
-    traj: FlowResult, root_v, slack: float, decay_tol: float, at_stopping: bool = False
+    traj: FlowResult, root_v, at_stopping: bool = False
 ) -> tuple[list[list[float]], list[Check]]:
-    """The rows ``[t, g, g0 exp(-t), |u - V|, slack g0 exp(-t) / eps]`` of ``traj``
+    """The rows ``[t, g, g0 exp(-t), |u - V|, GAP_SLACK g0 exp(-t) / eps]`` of ``traj``
     against its root ``V = root_v``, and the checks read from them: ``residual-decay``,
-    the worst ``|g / (g0 exp(-t)) - 1|`` against ``decay_tol``; ``flow-limit-gap``, the
-    worst ``|u - V| eps / (g0 exp(-t))`` against ``slack``; and, if ``at_stopping`` (the
-    flow ran to ``stopping_time(eps)``), ``stopping-gap``, the last ``|u - V| / (g0 eps)``.
+    the worst ``|g / (g0 exp(-t)) - 1|`` against ``DECAY_TOL`` (1e-3); ``flow-limit-gap``,
+    the worst ``|u - V| eps / (g0 exp(-t))`` against ``GAP_SLACK`` (1.05); and, if
+    ``at_stopping`` (the flow ran to ``stopping_time(eps)``), ``stopping-gap``, the last
+    ``|u - V| / (g0 eps)`` against ``GAP_SLACK``.  A model residual that underflows makes
+    ``residual-decay`` observe ``inf``, not a warning.
     """
     root_v = as_vector(root_v, traj.states.shape[1], "root_v")
-    slack, decay_tol = _non_negative(slack, "slack"), _non_negative(decay_tol, "decay_tol")
     eps, g0 = traj.epsilon, float(traj.residuals[0])
     rows, max_dev, max_gap_ratio = [], 0.0, 0.0
-    for t, u, g in zip(traj.times, traj.states, traj.residuals):
+    # Python floats: g / model overflows to inf where numpy's scalars would warn
+    for t, u, g in zip(traj.times.tolist(), traj.states, traj.residuals.tolist()):
         model = g0 * math.exp(-t)
         dev = abs(g / model - 1.0) if model > 0.0 else (0.0 if g == 0.0 else math.inf)
         gap = norm(u - root_v)
         max_dev = max(max_dev, dev)
         max_gap_ratio = max(max_gap_ratio, gap * eps / max(model, _TINY))
-        rows.append([float(t), float(g), model, gap, slack * (model / eps)])
+        rows.append([t, g, model, gap, GAP_SLACK * (model / eps)])
     checks = [
-        Check("residual-decay", max_dev, decay_tol),
-        Check("flow-limit-gap", max_gap_ratio, slack),
+        Check("residual-decay", max_dev, DECAY_TOL),
+        Check("flow-limit-gap", max_gap_ratio, GAP_SLACK),
     ]
     if at_stopping:
-        checks.append(Check("stopping-gap", _stopping_ratio(rows[-1][3], g0, eps), slack))
+        checks.append(Check("stopping-gap", _stopping_ratio(rows[-1][3], g0, eps), GAP_SLACK))
     return rows, checks
 
 

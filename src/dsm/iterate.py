@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 MAX_STEPS = 10_000  # run_iteration keeps every iterate and root it visits
+STEP_SLACK = 1e-8  # relative slack, and bound, of recursion-step
 _MAX_FP_EVALS = 100
 _FP_RTOL = 1e-10
 _CUBIC_TRUST = 2.0  # the cubic first guess must lie within this factor of the quadratic
@@ -410,27 +411,23 @@ class RecursionReport(Check):
     records: list[StepBoundRecord]
 
 
-def verify_step_recursion(
-    problem: ProblemInstance,
-    history: IterationHistory,
-    slack: float = 1e-8,
-) -> RecursionReport:
+def verify_step_recursion(problem: ProblemInstance, history: IterationHistory) -> RecursionReport:
     """Check the per-step gap contraction on a run with recorded roots.
 
     For each step n the inequality
     ``g_{n+1} <= (1 - 0.5 h_n) g_n + |V_{n+1} - V_n|`` must hold up to
-    relative ``slack`` (plus a tiny absolute cushion for gaps at
-    roundoff), and when the problem carries a positive curvature bound
-    the schedule must satisfy ``eps_n >= 2 c g_n`` up to the same slack.
-    ``observed`` is the worst step's excess ``max((g_{n+1} - 1e-13 (1 +
-    g_n) - bound_n) / bound_n, (2 c g_n - eps_n) / (2 c g_n))``, floored
-    at 0, and the run passes when it is at most ``bound``, the slack.
+    relative slack ``STEP_SLACK`` (1e-8, plus a tiny absolute cushion for
+    gaps at roundoff), and when the problem carries a positive curvature
+    bound the schedule must satisfy ``eps_n >= 2 c g_n`` up to the same
+    slack.  ``observed`` is the worst step's excess ``max((g_{n+1} - 1e-13
+    (1 + g_n) - bound_n) / bound_n, (2 c g_n - eps_n) / (2 c g_n))``,
+    floored at 0, and the run passes when it is at most ``bound``,
+    ``STEP_SLACK``.
     """
     if len(history.steps) < 2:
         raise ValueError("recursion check needs at least one completed step")
     if history.steps[0].gap is None or history.steps[0].root_gap is None:
         raise ValueError("recursion check needs a run with recorded roots")
-    slack = _non_negative(slack, "slack")
     c = 0.5 * float(problem.m2_bound) if problem.m2_bound is not None else 0.0
     records: list[StepBoundRecord] = []
     for cur, nxt in zip(history.steps, history.steps[1:]):
@@ -451,4 +448,4 @@ def verify_step_recursion(
             )
         )
     observed = max(0.0, *(rec.excess for rec in records))
-    return RecursionReport("recursion-step", observed, slack, records)
+    return RecursionReport("recursion-step", observed, STEP_SLACK, records)

@@ -24,7 +24,6 @@ from .problem import (
     NumericalFailure,
     ProblemInstance,
     _as_count,
-    _non_negative,
     _positive,
     apply_operator,
     as_vector,
@@ -48,6 +47,8 @@ __all__ = [
 MIN_DAMPING = 2.0 ** -30
 NEWTON_CAP = 80  # Newton steps per solve: one root, or one flow checkpoint
 PREDICT_NODES = 6  # known roots through which _predict extrapolates, at most
+NORM_SLACK = 1e-8  # relative slack of norm-dominance
+INNER_SLACK = 1e-9  # bound of error-inner-bound
 
 
 def default_newton_tol(f_active: np.ndarray) -> float:
@@ -244,18 +245,17 @@ def regularization_path(
     return RegPathResult(entries=entries, root_gaps=gaps)
 
 
-def check_path(path: RegPathResult, y, norm_slack: float, inner_slack: float) -> list[Check]:
+def check_path(path: RegPathResult, y) -> list[Check]:
     """The minimal-norm inequalities along ``path`` against its limit ``y``:
-    ``norm-dominance``, the largest ``|V_eps|`` against ``|y| (1 + norm_slack)``, and
-    ``error-inner-bound``, the largest ``|V_eps - y|^2 - (y, y - V_eps)`` against ``inner_slack``.
+    ``norm-dominance``, the largest ``|V_eps|`` against ``|y| (1 + NORM_SLACK)``, and
+    ``error-inner-bound``, the largest ``|V_eps - y|^2 - (y, y - V_eps)`` against
+    ``INNER_SLACK``.  The constants are 1e-8 and 1e-9.
     """
     y = as_vector(y, path.entries[0].root.v.size, "y")
-    norm_bound = norm(y) * (1.0 + _non_negative(norm_slack, "norm_slack"))
-    inner_slack = _non_negative(inner_slack, "inner_slack")
     worst = max(norm(e.root.v - y) ** 2 - inner(y, y - e.root.v) for e in path.entries)
     return [
-        Check("norm-dominance", max(e.v_norm for e in path.entries), norm_bound),
-        Check("error-inner-bound", worst, inner_slack),
+        Check("norm-dominance", max(e.v_norm for e in path.entries), norm(y) * (1.0 + NORM_SLACK)),
+        Check("error-inner-bound", worst, INNER_SLACK),
     ]
 
 

@@ -44,14 +44,14 @@ _PROBLEM = ["problem", "problem.corpus", "problem.dim", "problem.seed", "problem
 _FLOW_TOLERANCES = ["checkpoints", "rtol"]
 FIELDS = {
     "flow": _PROBLEM
-    + ["epsilon", "t_end", *_FLOW_TOLERANCES, "decay_tol", "slack", "u0", "seed"],
+    + ["epsilon", "t_end", *_FLOW_TOLERANCES, "u0", "seed"],
     "iterate": _PROBLEM
     + ["schedule", "schedule.kind", "schedule.floor", "step_rule", "step_rule.kind"]
-    + ["step_rule.p", "max_n", "stop_residual", "record_roots", "slack", "u0", "seed"],
-    "reg-path": _PROBLEM + ["epsilons", "norm_slack", "inner_slack", "seed"],
+    + ["step_rule.p", "max_n", "stop_residual", "record_roots", "u0", "seed"],
+    "reg-path": _PROBLEM + ["epsilons", "seed"],
     "noise-study": _PROBLEM
-    + ["deltas", "epsilons", "b_exp", "slack", *_FLOW_TOLERANCES, "seed"],
-    "lemma-sim": ["a", "b", "b.kind", "b.scale", "b.exponent", "horizon", "g1", "slack", "seed"],
+    + ["deltas", "epsilons", "b_exp", *_FLOW_TOLERANCES, "seed"],
+    "lemma-sim": ["a", "b", "b.kind", "b.scale", "b.exponent", "horizon", "g1", "seed"],
 }
 REQUIRED = {
     "problem", "problem.corpus", "schedule", "schedule.kind", "step_rule",
@@ -84,10 +84,7 @@ RANGES = {
     "b_exp": _UNIT,
     "deltas": lambda v: all(map(_UNIT, v)),
     "epsilons": lambda v: all(map(_POSITIVE, v)),
-    **dict.fromkeys(
-        ["decay_tol", "slack", "stop_residual", "floor", "norm_slack", "inner_slack", "g1", "seed"],
-        _NON_NEGATIVE,
-    ),
+    **dict.fromkeys(["stop_residual", "floor", "g1", "seed"], _NON_NEGATIVE),
 }
 HUGE = (10**9, 10**400, math.inf)
 

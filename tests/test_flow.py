@@ -288,7 +288,7 @@ class TestCheckFlow:
     )
 
     def test_known_table_and_checks(self):
-        rows, checks = check_flow(self.TRAJ, [0.0, 0.0], slack=1.05, decay_tol=1e-3)
+        rows, checks = check_flow(self.TRAJ, [0.0, 0.0])
         model = [2.0, 2.0 * math.exp(-1.0), 2.0 * math.exp(-2.0)]
         np.testing.assert_allclose(
             rows,
@@ -308,16 +308,31 @@ class TestCheckFlow:
         assert limit.bound == 1.05 and not limit.passed
 
     def test_stopping_gap_only_when_asked_for(self):
-        _, checks = check_flow(self.TRAJ, [0.0, 0.0], 1.05, 0.3, at_stopping=True)
+        _, checks = check_flow(self.TRAJ, [0.0, 0.0], at_stopping=True)
         assert [c.name for c in checks] == ["residual-decay", "flow-limit-gap", "stopping-gap"]
         # the last gap over g0 eps: 0.05 / (2 * 0.5)
         assert checks[2].observed == pytest.approx(0.05, rel=1e-15)
         assert checks[2].bound == 1.05
-        assert [c.passed for c in checks] == [True, False, True]
+        assert [c.passed for c in checks] == [False, False, True]
 
     def test_a_root_of_the_wrong_length_is_refused(self):
         with pytest.raises(ValueError, match="root_v has length 3, expected 2"):
-            check_flow(self.TRAJ, [0.0, 0.0, 0.0], 1.05, 1e-3)
+            check_flow(self.TRAJ, [0.0, 0.0, 0.0])
+
+    def test_subnormal_model_residual_observes_inf_without_a_warning(self):
+        # g0 exp(-745) is subnormal, so g over it overflows; numpy's scalars warned there
+        traj = FlowResult(
+            epsilon=0.5,
+            times=np.array([0.0, 745.0]),
+            states=np.zeros((2, 2)),
+            residuals=np.array([2.0, 1e-5]),
+            accepted=0,
+            rejected=0,
+            rhs_evals=0,
+        )
+        rows, (decay, _) = check_flow(traj, [0.0, 0.0])
+        assert 0.0 < rows[1][2] < np.finfo(float).tiny
+        assert decay.observed == math.inf and not decay.passed
 
 
 class TestSolveToStopping:

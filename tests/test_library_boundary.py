@@ -126,8 +126,8 @@ CALLS = {
     ),
     "check_path": (
         check_path,
-        dict(path=PATH, y=P.known_solution, norm_slack=1e-8, inner_slack=1e-9),
-        {"y": "vector", "norm_slack": "number", "inner_slack": "number"},
+        dict(path=PATH, y=P.known_solution),
+        {"y": "vector"},
     ),
     "minimal_norm_solution": (minimal_norm_solution, dict(problem=P), {}),
     "stopping_time": (stopping_time, dict(epsilon=0.1), {"epsilon": "number"}),
@@ -141,8 +141,8 @@ CALLS = {
     ),
     "check_flow": (
         check_flow,
-        dict(traj=FLOW, root_v=U, slack=1.05, decay_tol=1e-3),
-        {"root_v": "vector", "slack": "number", "decay_tol": "number", "at_stopping": "any"},
+        dict(traj=FLOW, root_v=U),
+        {"root_v": "vector", "at_stopping": "any"},
     ),
     "solve_to_stopping": (
         solve_to_stopping,
@@ -181,9 +181,7 @@ CALLS = {
         dict(problem=P, schedule=Schedule.constant(0.1), steps=StepRule.constant_h(0.5), max_n=3),
         {"max_n": "count", "u0": "vector?", "stop_residual": "number?"},
     ),
-    "verify_step_recursion": (
-        verify_step_recursion, dict(problem=P, history=HISTORY), {"slack": "number"}
-    ),
+    "verify_step_recursion": (verify_step_recursion, dict(problem=P, history=HISTORY), {}),
     "simulate_recursion": (simulate_recursion, dict(g1=1.0, a=WEIGHTS, b=B), CHAIN),
     "unrolled_bound": (unrolled_bound, dict(g1=1.0, a=WEIGHTS, b=B), CHAIN),
     "exponential_majorant": (exponential_majorant, dict(g1=1.0, a=WEIGHTS, b=B), CHAIN),

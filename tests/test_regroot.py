@@ -179,7 +179,7 @@ class TestCheckPath:
     PATH = regularization_path(diag_linear_problem([1.0, 0.0], [1.0, 0.0]), [0.5, 0.1, 0.01])
 
     def test_closed_form_on_a_kernel(self):
-        dominance, inner_bound = check_path(self.PATH, [1.0, 0.0], 1e-8, 1e-9)
+        dominance, inner_bound = check_path(self.PATH, [1.0, 0.0])
         assert dominance.name == "norm-dominance"
         assert dominance.observed == pytest.approx(1.0 / 1.01, rel=1e-14)
         assert dominance.bound == 1.0 + 1e-8
@@ -191,8 +191,8 @@ class TestCheckPath:
     def test_a_shorter_limit_fails_both(self):
         # against y = (0.5, 0): |V| = 1/1.01 > 0.5, and (v - 0.5)^2 - 0.5 (0.5 - v) = (v - 0.5) v
         v = 1.0 / 1.01
-        dominance, inner_bound = check_path(self.PATH, [0.5, 0.0], 0.0, 0.0)
-        assert dominance.bound == 0.5 and not dominance.passed
+        dominance, inner_bound = check_path(self.PATH, [0.5, 0.0])
+        assert dominance.bound == 0.5 * (1.0 + 1e-8) and not dominance.passed
         assert inner_bound.observed == pytest.approx((v - 0.5) * v, rel=1e-12)
         assert not inner_bound.passed
 
