@@ -37,6 +37,8 @@ from .problem import (
 
 __all__ = ["run_experiment", "emit_table", "main"]
 
+_NON_FINITE = {"Infinity": "inf", "-Infinity": "-inf", "NaN": "nan"}  # as report.json writes them
+
 
 def _check(c: Check) -> dict:
     """The report row of one bound check."""
@@ -106,6 +108,7 @@ def _run_iterate(cfg: dict, out_dir: Path):
     checks = []
     if tracked and len(history.steps) >= 2:
         checks.append(iterate.verify_step_recursion(problem, history))
+    checks += history.assumptions
     rows = [
         [s.index, s.epsilon, s.h, s.residual, s.gap, s.root_gap] for s in history.steps
     ]
@@ -116,6 +119,7 @@ def _run_iterate(cfg: dict, out_dir: Path):
             "converged": history.converged,
             "final_residual": float(history.steps[-1].residual),
             "final_gap": None if not tracked else float(history.steps[-1].gap),
+            "curvature_ratio": history.curvature_ratio,
         },
         "checks": checks,
         "artifacts": ["history.csv"],
@@ -384,9 +388,11 @@ def _build(table: dict, spec: dict, *args):
 def run_experiment(config: dict, out_dir) -> dict:
     """Validate the config, run the study, write artifacts, return the report.
 
-    The report is also written to ``<out_dir>/report.json`` and is byte
-    reproducible for a fixed config; wall-clock timings are written to
-    ``<out_dir>/timing.json`` so they never perturb the report.  The
+    The report is also written to ``<out_dir>/report.json`` as strict
+    JSON, each non-finite float as the string ``"inf"``, ``"-inf"`` or
+    ``"nan"``, and is byte reproducible for a fixed config; wall-clock
+    timings are written to ``<out_dir>/timing.json`` so they never
+    perturb the report.  The
     summary table is written once, as the kind's CSV artifact, and not
     into ``report.json``; the returned report is the written one plus the
     in-memory ``"table"``, which :func:`emit_table` renders.
@@ -416,9 +422,12 @@ def run_experiment(config: dict, out_dir) -> dict:
         report["problem"] = corpus._describe(cfg["problem"], problem)
     (out_dir / csv_name).write_text(_csv(table["columns"], table["rows"]))
 
-    (out_dir / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
-    )
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # an inf or a nan: read the report back with each as a string
+        report = json.loads(json.dumps(report), parse_constant=_NON_FINITE.get)
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    (out_dir / "report.json").write_text(text + "\n")
     (out_dir / "timing.json").write_text(
         json.dumps({"total_seconds": elapsed}, indent=2, sort_keys=True) + "\n"
     )
@@ -550,8 +559,8 @@ def main(argv=None) -> int:
         for c in run["checks"]:
             state = "pass" if c["pass"] else "FAIL"
             print(
-                f"  [{state}] {c['check']}: observed {c['observed']:.6g}"
-                f" vs bound {c['bound']:.6g} (margin {c['margin']:.6g})"
+                f"  [{state}] {c['check']}: observed {float(c['observed']):.6g}"
+                f" vs bound {float(c['bound']):.6g} (margin {float(c['margin']):.6g})"
             )
     return 0 if report["checks_pass"] else 1
 

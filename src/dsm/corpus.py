@@ -53,6 +53,8 @@ __all__ = [
     "problem_from_dict",
 ]
 
+CUBIC_RADIUS = 5.0  # the ball on which cubic-monotone's m2_bound holds
+
 
 def _check_dim(dim: int, least: int) -> int:
     """The integer dim, rejected outside [least, MAX_DIM] before anything is allocated."""
@@ -111,19 +113,17 @@ def make_hilbert_psd(dim: int = 12) -> ProblemInstance:
     return _linear(m, m @ y_star, y_star, "hilbert-psd")
 
 
-def make_cubic_monotone(
-    dim: int = 10, seed: int = 2, radius: float = 5.0
-) -> ProblemInstance:
+def make_cubic_monotone(dim: int = 10, seed: int = 2) -> ProblemInstance:
     """Rank-deficient quadratic form plus componentwise cube.
 
     The operator is ``u -> G'G u + u**3`` with G two rows short of full
     rank; the cube is strictly increasing componentwise, so the sum is
     strictly monotone despite the matrix kernel.  The second-derivative
-    bound ``6 * (radius + |y*|)`` is valid on the origin-centered ball of
-    that radius, which contains every iterate the suite produces.
+    bound ``6 * (CUBIC_RADIUS + |y*|)`` is valid on the origin-centered
+    ball of radius ``CUBIC_RADIUS`` (5); the iteration's
+    ``taylor-remainder`` check reports a step on which it fails.
     """
     dim = _check_dim(dim, 3)
-    radius = _positive(radius, "radius")
     rng = _rng(seed)
     g = rng.standard_normal((dim - 2, dim)) / np.sqrt(dim)
     m = g.T @ g
@@ -135,7 +135,7 @@ def make_cubic_monotone(
         data=f,
         jacobian=lambda u: m + np.diag(3.0 * u**2),
         known_solution=y_star,
-        m2_bound=6.0 * (radius + float(norm(y_star))),
+        m2_bound=6.0 * (CUBIC_RADIUS + float(norm(y_star))),
         name="cubic-monotone",
     )
 
@@ -208,7 +208,6 @@ _CORPUS_FIELDS = {
     "corpus": (str, REQUIRED),
     "dim": (lambda dim, name: dim, OPTIONAL),  # passed as given: the factory's range is its rule
     "seed": (_seed, OPTIONAL),
-    "radius": (_positive, OPTIONAL),
 }
 _LINEAR_FIELDS = {
     "matrix": ([[float]], REQUIRED),

@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 MAX_CHECKPOINTS = 1000  # integrate_flow holds (checkpoints + 1) x dim states
-ROUNDOFF_FACTOR = 16.0  # c of each checkpoint's roundoff floor; see integrate_flow
+ROUNDOFF_FACTOR = 16.0  # c of the roundoff floor of each checkpoint (integrate_flow) and step (iterate)
 GAP_SLACK = 1.05  # bound of flow-limit-gap and stopping-gap (and of the noise study's gap checks)
 DECAY_TOL = 1e-3  # bound of residual-decay
 

@@ -25,6 +25,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .flow import ROUNDOFF_FACTOR
+from .linsolve import reg_solve
 from .problem import (
     _TINY,
     Check,
@@ -34,17 +36,12 @@ from .problem import (
     _in_unit_interval,
     _non_negative,
     _positive,
+    apply_operator,
     as_vector,
+    jacobian,
     norm,
 )
-from .regroot import (
-    PREDICT_NODES,
-    RegRoot,
-    _newton_direction,
-    _predict,
-    _residual,
-    solve_regularized,
-)
+from .regroot import PREDICT_NODES, RegRoot, _predict, _residual, solve_regularized
 
 __all__ = [
     "StepRule",
@@ -58,7 +55,7 @@ __all__ = [
 ]
 
 MAX_STEPS = 10_000  # run_iteration keeps every iterate and root it visits
-STEP_SLACK = 1e-8  # relative slack, and bound, of recursion-step
+STEP_SLACK = 1e-8  # relative slack, and bound, of recursion-step, monotone-pairing and taylor-remainder
 _MAX_FP_EVALS = 100
 _FP_RTOL = 1e-10
 _CUBIC_TRUST = 2.0  # the cubic first guess must lie within this factor of the quadratic
@@ -186,8 +183,13 @@ class IterationStep:
 
 @dataclass(frozen=True)
 class IterationHistory:
+    """The visited iterates, with the checks of :func:`run_iteration` on
+    their steps (``assumptions``) and its ``curvature_ratio``."""
+
     steps: list[IterationStep]
     converged: bool
+    assumptions: tuple[Check, ...] = ()
+    curvature_ratio: Optional[float] = None
 
     @property
     def gaps(self) -> Optional[np.ndarray]:
@@ -329,6 +331,17 @@ def run_iteration(
     automatically under the oracle schedule and on request otherwise.
     ``max_n`` is an integer of at most ``MAX_STEPS``.  The default
     stopping residual is ``1e-10 * (1 + |f|)``.
+
+    Each step ``z_n = u_{n+1} - u_n`` checks the standing assumptions on
+    the ``B(u_n)`` and ``B'(u_n)`` it evaluates anyway, up to the flow's
+    roundoff floor ``fl_n = 16 sqrt(dim) u (|B(u_n)| + |B(u_{n+1})|)``:
+    ``monotone-pairing``, ``<B(u_{n+1}) - B(u_n), z_n> >= -fl_n |z_n|``,
+    and, for a positive ``m2_bound``, ``taylor-remainder``,
+    ``|B(u_{n+1}) - B(u_n) - B'(u_n) z_n| <= m2 |z_n|^2 / 2 + fl_n``.  As
+    for ``recursion-step``, ``observed`` is the worst relative excess (the
+    Taylor row's over ``m2 |z_n|^2 / 2``), floored at 0, and the bound is
+    ``STEP_SLACK``.  ``curvature_ratio``, the largest Taylor remainder over
+    its right side, is at most ``1 + STEP_SLACK`` when that row passes.
     """
     max_n = _as_count(max_n, "max_n", cap=MAX_STEPS)
     if steps.limit is not None and steps.limit < max_n:
@@ -342,11 +355,15 @@ def run_iteration(
     track = record_roots or schedule.kind == "oracle"
     c = _curvature_constant(problem) if schedule.kind == "oracle" else None
     u = np.zeros(problem.dim) if u0 is None else as_vector(u0, problem.dim, "u0").copy()
+    half_m2 = 0.5 * (problem.m2_bound or 0.0)
+    unit_floor = ROUNDOFF_FACTOR * math.sqrt(problem.dim) * np.finfo(float).eps
 
     rows: list[dict] = []
     known: list[tuple[float, np.ndarray]] = []  # (eps, V_eps) of the last six roots
     slope = None  # the oracle's last secant slope, carried to the next step
     converged = False
+    pairing = remainder = ratio = 0.0  # worst excesses and Taylor ratio over the steps
+    last = None  # (u_n, B(u_n), |B(u_n)|, B'(u_n)) of the step just taken
     for n in range(max_n + 1):
         root: Optional[RegRoot] = None
         if schedule.kind == "oracle":
@@ -359,7 +376,20 @@ def run_iteration(
                 eps_n = max(schedule.floor, schedule.eps0 * schedule.ratio**n)
             if track:
                 root = solve_regularized(problem, eps_n, init=_predict(known, eps_n))
-        res_vec = _residual(problem, eps_n, u, problem.data)
+        b = apply_operator(problem, u)
+        b_norm = math.sqrt(np.dot(b, b))  # norm(b), without its argument checks; so below
+        if last is not None:  # the step z = u_n - u_{n-1} just taken
+            u_prev, b_prev, b_prev_norm, jac = last
+            z, db = u - u_prev, b - b_prev
+            z_norm, floor = math.sqrt(np.dot(z, z)), unit_floor * (b_prev_norm + b_norm)
+            pair = float(np.dot(db, z))
+            pairing = max(pairing, -(pair + floor * z_norm) / max(floor * z_norm, _TINY))
+            if half_m2 > 0.0:
+                r = db - jac @ z
+                model, rem = half_m2 * z_norm * z_norm, math.sqrt(np.dot(r, r))
+                remainder = max(remainder, (rem - floor - model) / max(model, _TINY))
+                ratio = max(ratio, rem / max(model + floor, _TINY))
+        res_vec = b + eps_n * u - problem.data
         res_norm = norm(res_vec)
         rows.append(
             dict(
@@ -381,7 +411,9 @@ def run_iteration(
             break
         h_n = steps.h_at(n)
         rows[-1]["h"] = h_n
-        u = u - h_n * _newton_direction(problem, eps_n, u, res_vec)
+        jac = jacobian(problem, u)
+        last = (u, b, b_norm, jac)
+        u = u - h_n * reg_solve(jac, eps_n, res_vec).solution
 
     out = []
     for i, row in enumerate(rows):
@@ -389,7 +421,10 @@ def run_iteration(
         if track and i + 1 < len(rows):
             root_gap = norm(rows[i + 1]["root"] - row["root"])
         out.append(IterationStep(root_gap=root_gap, **row))
-    return IterationHistory(steps=out, converged=converged)
+    taylor = last is not None and half_m2 > 0.0
+    checks = [Check("monotone-pairing", pairing, STEP_SLACK)] if last is not None else []
+    checks += [Check("taylor-remainder", remainder, STEP_SLACK)] if taylor else []
+    return IterationHistory(out, converged, tuple(checks), ratio if taylor else None)
 
 
 @dataclass(frozen=True)

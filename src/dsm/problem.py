@@ -4,10 +4,8 @@ The ambient space is R^n with the Euclidean inner product.  Vectors are 1-D
 numpy arrays, operator derivatives are dense square matrices.  A
 :class:`ProblemInstance` bundles the operator with its data vector and
 whatever ground truth is available (analytic Jacobian, known minimal-norm
-solution, a second-derivative bound on a working ball), and this module holds
-the numerical certificates for the standing assumptions: monotonicity of B
-and control of the second-order Taylor remainder.  Every layer checks its
-inputs by the one coercion rule here, :func:`_coerce`, which the config
+solution, a second-derivative bound on a working ball).  Every layer checks
+its inputs by the one coercion rule here, :func:`_coerce`, which the config
 field tables use too.
 """
 
@@ -24,19 +22,14 @@ __all__ = [
     "NumericalFailure",
     "Check",
     "ProblemInstance",
-    "MonotonicityReport",
-    "TaylorReport",
     "inner",
     "norm",
     "as_vector",
     "as_matrix",
     "apply_operator",
     "jacobian",
-    "check_monotonicity",
-    "taylor_remainder_check",
 ]
 
-MAX_TRIALS = 100_000  # check_monotonicity holds no memory; this bounds its running time
 _FLOAT = np.dtype(float)
 _TINY = 1e-300  # floor of a denominator that may be zero
 
@@ -260,8 +253,8 @@ class ProblemInstance:
         The minimal-norm solution of B(u) = f, when an oracle provides it.
     m2_bound : float, optional
         Upper bound for the second derivative norm on the problem's
-        working ball.  It gates the Taylor-remainder certificate and the
-        residual-driven iteration schedule.
+        working ball.  The oracle iteration schedule needs it, and every
+        iteration checks it on its own steps (``taylor-remainder``).
     is_linear : bool
         B is a matrix.  Without a ``known_solution``, construction stores the
         ``lstsq`` minimal-norm one: one Jacobian and one O(dim^3) solve.  A
@@ -334,76 +327,3 @@ def jacobian(problem: ProblemInstance, u) -> np.ndarray:
     if not np.all(np.isfinite(mat)):
         raise NumericalFailure("finite-difference jacobian is non-finite")
     return mat
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    min_pairing: float
-    passed: bool
-    trials: int
-
-
-def _sample_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
-    # uniform in the ball: uniform direction, radius scaled by U^(1/dim)
-    x = rng.standard_normal(dim)
-    r = np.linalg.norm(x)
-    while r == 0.0:
-        x = rng.standard_normal(dim)
-        r = np.linalg.norm(x)
-    return x / r * radius * rng.uniform() ** (1.0 / dim)
-
-
-def check_monotonicity(
-    problem: ProblemInstance, trials: int, seed: int, radius: float
-) -> MonotonicityReport:
-    """Sample pairs (u, v) in a ball and test <B(u) - B(v), u - v> >= 0.
-
-    The tolerance per pair is ``1e-10 * (1 + |u - v|^2)``, absorbing the
-    cancellation incurred when both operator values are large.  Returns the
-    raw minimum pairing over all sampled pairs and whether every pair
-    cleared its tolerance.
-    """
-    trials = _as_count(trials, "trials", cap=MAX_TRIALS)
-    radius = _positive(radius, "radius")
-    rng = _rng(seed)
-    min_pairing = np.inf
-    passed = True
-    for _ in range(trials):
-        u = _sample_ball(rng, problem.dim, radius)
-        v = _sample_ball(rng, problem.dim, radius)
-        diff = u - v
-        pairing = inner(apply_operator(problem, u) - apply_operator(problem, v), diff)
-        tol = 1e-10 * (1.0 + inner(diff, diff))
-        if pairing < min_pairing:
-            min_pairing = pairing
-        if pairing < -tol:
-            passed = False
-    return MonotonicityReport(min_pairing=float(min_pairing), passed=passed, trials=trials)
-
-
-@dataclass(frozen=True)
-class TaylorReport:
-    remainder: float
-    bound: float
-    passed: bool
-
-
-def taylor_remainder_check(problem: ProblemInstance, u, z) -> TaylorReport:
-    """Certify |B(u+z) - B(u) - B'(u) z| <= 0.5 * m2_bound * |z|^2.
-
-    Requires the problem to carry ``m2_bound``; the comparison allows a
-    1e-8 relative slack on the bound side.
-    """
-    if problem.m2_bound is None:
-        raise ValueError("taylor_remainder_check requires m2_bound on the problem")
-    u = as_vector(u, problem.dim, "u")
-    z = as_vector(z, problem.dim, "z")
-    remainder = norm(
-        apply_operator(problem, u + z)
-        - apply_operator(problem, u)
-        - jacobian(problem, u) @ z
-    )
-    bound = 0.5 * problem.m2_bound * inner(z, z)
-    return TaylorReport(
-        remainder=remainder, bound=bound, passed=remainder <= bound * (1.0 + 1e-8)
-    )

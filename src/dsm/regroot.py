@@ -2,13 +2,13 @@
 
 For monotone B and eps > 0 the regularized equation has exactly one
 solution, and as eps decreases those roots converge to the minimal-norm
-solution of B(u) = f.  This module holds the regularized residual, its
-shifted Newton direction, which the iteration steps along too, and the
-damped Newton loop along it, which computes the roots and the flow's
-checkpoints.  It walks regularization paths with warm starts and provides
-minimal-norm ground truth for problems that admit an oracle.  All
-quantitative bound checks in the test suite lean on these roots, so the
-Newton tolerance defaults tight: ``1e-12 * (1 + |f|)``.
+solution of B(u) = f.  This module holds the regularized residual and
+the damped Newton loop along its shifted Newton direction, which computes
+the roots and the flow's checkpoints.  It walks regularization paths with
+warm starts and provides minimal-norm ground truth for problems that
+admit an oracle.  All quantitative bound checks in the test suite lean
+on these roots, so the Newton tolerance defaults tight:
+``1e-12 * (1 + |f|)``.
 """
 
 from __future__ import annotations
@@ -58,14 +58,6 @@ def default_newton_tol(f_active: np.ndarray) -> float:
 def _residual(problem: ProblemInstance, epsilon: float, u: np.ndarray, f: np.ndarray) -> np.ndarray:
     """The regularized residual B(u) + eps*u - f."""
     return apply_operator(problem, u) + epsilon * u - f
-
-
-def _newton_direction(
-    problem: ProblemInstance, epsilon: float, u: np.ndarray, res: np.ndarray
-) -> np.ndarray:
-    """The shifted Newton direction (B'(u) + eps I)^{-1} res; the flow, the
-    iteration and the root all step along its negative."""
-    return reg_solve(jacobian(problem, u), epsilon, res).solution
 
 
 def _predict(known: list[tuple[float, np.ndarray]], eps: float) -> Optional[np.ndarray]:
@@ -121,15 +113,16 @@ def _damped_newton(
     """Damped Newton on B(v) + eps*v = f from ``v`` until ``|F(v)| <= tol``
     or ``max_iters`` steps; returns ``(v, |F(v)|, steps, halvings)``.
 
-    Each step takes the shifted Newton direction ``d`` of the residual
-    ``F`` and halves ``lam`` until ``|F(v - lam*d)| <= (1 - 0.25*lam) |F(v)|``;
+    Each step takes the shifted Newton direction
+    ``d = (B'(v) + eps I)^{-1} F(v)`` of the residual ``F`` and halves
+    ``lam`` until ``|F(v - lam*d)| <= (1 - 0.25*lam) |F(v)|``;
     a stalled line search raises :class:`NumericalFailure`.
     """
     res = _residual(problem, epsilon, v, f)
     res_norm = norm(res)
     iters = halvings = 0
     while res_norm > tol and iters < max_iters:
-        d = _newton_direction(problem, epsilon, v, res)
+        d = reg_solve(jacobian(problem, v), epsilon, res).solution
         lam = 1.0
         while True:
             trial = v - lam * d

@@ -31,6 +31,11 @@ def load_config(name):
     return json.loads((CONFIGS / name).read_text())
 
 
+def refuse(constant):
+    # parse_constant of a strict (RFC 8259) reader: Infinity, -Infinity and NaN are not JSON
+    raise ValueError(f"{constant} is not JSON")
+
+
 class TestRunExperiment:
     def test_flow_report_shape(self, tmp_path):
         report = run_experiment(load_config("flow.json"), tmp_path)
@@ -161,23 +166,45 @@ class TestRunExperiment:
         # the final row records state only; no step was taken from it
         assert lines[-1].split(",")[2] == ""
 
-    # at eps0 1e-6 both halves of the check fail; at eps0 1 the contraction
-    # still holds and only eps_n >= 2 c g_n is broken
-    @pytest.mark.parametrize("eps0", [1e-6, 1.0])
-    def test_recursion_step_observes_schedule_excess(self, tmp_path, eps0):
+    # at eps0 1e-6 both halves of the check fail, and the first step lands
+    # at |u| = 1.5e6, far outside the ball m2_bound holds on; at eps0 1 the
+    # contraction still holds and only eps_n >= 2 c g_n is broken
+    @pytest.mark.parametrize("eps0, curvature_holds", [(1e-6, False), (1.0, True)])
+    def test_recursion_step_observes_schedule_excess(self, tmp_path, eps0, curvature_holds):
         cfg = load_config("iterate.json")
         cfg["schedule"] = {"kind": "geometric", "eps0": eps0, "ratio": 0.5}
         report = run_experiment(cfg, tmp_path)
-        (check,) = report["runs"][0]["checks"]
+        check, *assumptions = report["runs"][0]["checks"]
         assert check["check"] == "recursion-step"
         assert check["observed"] > check["bound"]
         assert check["pass"] is False
+        assert [(c["check"], c["pass"]) for c in assumptions] == [
+            ("monotone-pairing", True), ("taylor-remainder", curvature_holds)
+        ]
+
+    def test_non_finite_metric_is_written_as_a_string(self, tmp_path, monkeypatch):
+        # lemma-sim's final_value overflows on huge b terms; strict JSON has no NaN
+        runner, *rest = _EXPERIMENTS["lemma-sim"]
+
+        def overflowing(cfg, out_dir):
+            runs, table, problem = runner(cfg, out_dir)
+            runs[0]["metrics"]["final_value"] = math.nan
+            return runs, table, problem
+
+        monkeypatch.setitem(_EXPERIMENTS, "lemma-sim", (overflowing, *rest))
+        report = run_experiment(load_config("lemma-sim.json"), tmp_path)
+        assert report["runs"][0]["metrics"]["final_value"] == "nan"
+        written = json.loads((tmp_path / "report.json").read_text(), parse_constant=refuse)
+        assert {**report, "table": None} == {**written, "table": None}
 
     def test_oracle_run_observes_no_excess(self, tmp_path):
         report = run_experiment(load_config("iterate.json"), tmp_path)
-        (check,) = report["runs"][0]["checks"]
-        assert check["observed"] == 0.0
-        assert check["pass"] is True
+        checks = report["runs"][0]["checks"]
+        assert [c["check"] for c in checks] == [
+            "recursion-step", "monotone-pairing", "taylor-remainder"
+        ]
+        assert all(c["observed"] == 0.0 and c["pass"] is True for c in checks)
+        assert 0.0 < report["runs"][0]["metrics"]["curvature_ratio"] < 1.0
 
     def test_linear_report_hashes_the_matrix(self, tmp_path):
         report = run_experiment(load_config("reg-path.json"), tmp_path)
@@ -386,6 +413,42 @@ class TestCliEntryPoint:
         assert "[FAIL] residual-decay: observed inf" in out
         report = json.loads((tmp_path / "report.json").read_text())
         assert not report["checks_pass"]
+
+    def test_caps_run_writes_strict_json(self, tmp_path, capsys):
+        # RFC 8259 has no Infinity: a non-finite float is written as a string
+        code, out, _ = self.run(
+            capsys, "flow", "--config", str(CONFIGS / "flow.json"), "--out", str(tmp_path),
+            "--set", "t_end=1000", "--set", "checkpoints=1000",
+        )
+        assert code == 1
+        assert "observed inf vs bound 0.001 (margin -inf)" in out
+        report = json.loads((tmp_path / "report.json").read_text(), parse_constant=refuse)
+        decay = next(c for c in report["runs"][0]["checks"] if c["check"] == "residual-decay")
+        assert (decay["observed"], decay["bound"], decay["margin"]) == ("inf", 0.001, "-inf")
+
+    def test_far_start_fails_taylor_remainder(self, tmp_path, capsys):
+        # from |u0| = 316 the steps leave the ball cubic-monotone's m2_bound holds on
+        code, out, _ = self.run(
+            capsys, "iterate", "--config", str(CONFIGS / "iterate.json"), "--out", str(tmp_path),
+            "--set", "u0=[100,-100,100,-100,100,-100,100,-100,100,-100]",
+        )
+        assert code == 1
+        assert "[pass] recursion-step" in out
+        assert "[pass] monotone-pairing" in out
+        assert "[FAIL] taylor-remainder" in out
+        run = json.loads((tmp_path / "report.json").read_text())["runs"][0]
+        failed = [c["check"] for c in run["checks"] if not c["pass"]]
+        assert failed == ["taylor-remainder"]
+        assert run["metrics"]["curvature_ratio"] == pytest.approx(3.15, abs=0.01)
+
+    def test_cubic_radius_exits_two(self, tmp_path, capsys):
+        code, _, err = self.run(
+            capsys, "iterate", "--config", str(CONFIGS / "iterate.json"), "--out", str(tmp_path),
+            "--set", "problem.radius=5",
+        )
+        assert code == 2
+        assert "unknown corpus options ['radius']" in err
+        assert not (tmp_path / "report.json").exists()
 
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

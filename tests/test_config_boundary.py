@@ -40,7 +40,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SRC = Path(__file__).resolve().parents[1] / "src"
 KINDS = ("flow", "iterate", "reg-path", "noise-study", "lemma-sim")
 
-_PROBLEM = ["problem", "problem.corpus", "problem.dim", "problem.seed", "problem.radius"]
+_PROBLEM = ["problem", "problem.corpus", "problem.dim", "problem.seed"]
 _FLOW_TOLERANCES = ["checkpoints", "rtol"]
 FIELDS = {
     "flow": _PROBLEM
@@ -70,7 +70,7 @@ TYPES = {
 # key, for a value of the right type; a list must also be non-empty
 _POSITIVE, _NON_NEGATIVE, _UNIT = (lambda v: v > 0), (lambda v: v >= 0), (lambda v: 0 < v < 1)
 RANGES = {
-    "epsilon": _POSITIVE, "rtol": _POSITIVE, "radius": _POSITIVE,
+    "epsilon": _POSITIVE, "rtol": _POSITIVE,
     "t_end": lambda v: 0 < v <= 1000,
     "checkpoints": lambda v: 1 <= v <= 1000,
     "max_n": lambda v: 1 <= v <= 10_000,

@@ -10,6 +10,7 @@ import dsm.iterate
 from dsm import (
     Check,
     NumericalFailure,
+    ProblemInstance,
     Schedule,
     StepRule,
     apply_operator,
@@ -23,7 +24,7 @@ from dsm import (
 )
 from dsm.iterate import STEP_SLACK, _predict
 
-from conftest import capped_outcome, identity_problem
+from conftest import capped_outcome, identity_problem, scalar_cubic_problem
 
 SQRT_E = math.sqrt(math.e)
 
@@ -340,6 +341,83 @@ class TestStepRecursionCertificate:
             assert remainder <= 0.5 * cubic.m2_bound * cur.gap**2 * (1 + 1e-8)
 
 
+def roundoff_floor(problem, u, v):
+    # fl_n = 16 sqrt(dim) u (|B(u_n)| + |B(u_{n+1})|), the flow's checkpoint floor
+    scale = norm(apply_operator(problem, u)) + norm(apply_operator(problem, v))
+    return 16.0 * math.sqrt(problem.dim) * np.finfo(float).eps * scale
+
+
+class TestStandingAssumptions:
+    @pytest.mark.parametrize("make, dim, rule", BENCHMARK_RUNS)
+    def test_benchmark_runs_hold_both_assumptions_with_room(self, make, dim, rule):
+        # the worst remainder uses at most 0.33 of the curvature budget at seed 1
+        p = make(dim=dim, seed=1)
+        hist = run_iteration(p, Schedule.oracle(), rule, 40)
+        assert [(c.name, c.observed) for c in hist.assumptions] == [
+            ("monotone-pairing", 0.0), ("taylor-remainder", 0.0)
+        ]
+        assert 0.0 < hist.curvature_ratio < 0.5
+
+    def test_a_non_monotone_operator_fails_monotone_pairing(self):
+        # B(u) = -u pairs each step to -|z_n|^2, far below the roundoff floor
+        p = ProblemInstance(
+            dim=2, operator=lambda u: -u, data=np.ones(2), jacobian=lambda u: -np.eye(2)
+        )
+        hist = run_iteration(p, Schedule.constant(0.1), StepRule.constant_h(0.5), 5)
+        (check,) = hist.assumptions
+        assert check.name == "monotone-pairing"
+        assert check.bound == STEP_SLACK
+        assert check.observed > 1e12
+        assert not check.passed
+        assert hist.curvature_ratio is None
+
+    def test_taylor_remainder_is_the_worst_relative_excess(self):
+        # u + u^3 has the exact remainder 3 u z^2 + z^3, more than m2_bound 0.5 allows
+        p = scalar_cubic_problem(f=2.0, m2_bound=0.5)
+        hist = run_iteration(p, Schedule.constant(0.1), StepRule.constant_h(0.5), 3)
+        pairing, taylor = hist.assumptions
+        excess, ratio = [], []
+        for cur, nxt in zip(hist.steps, hist.steps[1:]):
+            u, z = cur.u[0], nxt.u[0] - cur.u[0]
+            remainder, model = abs(3.0 * u * z**2 + z**3), 0.25 * z**2
+            floor = roundoff_floor(p, cur.u, nxt.u)
+            excess.append((remainder - floor - model) / model)
+            ratio.append(remainder / (model + floor))
+        assert (taylor.name, taylor.bound) == ("taylor-remainder", STEP_SLACK)
+        assert taylor.observed == pytest.approx(max(excess), rel=1e-9)
+        assert hist.curvature_ratio == pytest.approx(max(ratio), rel=1e-9)
+        assert not taylor.passed
+        assert (pairing.name, pairing.observed, pairing.passed) == ("monotone-pairing", 0.0, True)
+
+    def test_rows_need_a_step_and_a_positive_curvature_bound(self, cubic):
+        stopped = run_iteration(
+            cubic, Schedule.constant(0.1), StepRule.constant_h(0.5), 3, stop_residual=1e300
+        )
+        assert (stopped.assumptions, stopped.curvature_ratio) == ((), None)
+        linear = identity_problem(2, f=[1.0, 2.0])
+        hist = run_iteration(linear, Schedule.constant(0.1), StepRule.constant_h(0.5), 3)
+        assert [(c.name, c.observed) for c in hist.assumptions] == [("monotone-pairing", 0.0)]
+        assert hist.curvature_ratio is None
+
+    def test_the_floor_absorbs_the_roundoff_of_converged_steps(self):
+        # random-monotone d10 from the unit alternating vector: from step 30
+        # on |z_n| <= 2.4e-8, and the remainder is roundoff, up to thousands
+        # of times m2 |z_n|^2 / 2 but within the floor
+        p = make_random_monotone(dim=10, seed=1)
+        u0 = np.array([(-1.0) ** i for i in range(10)]) / math.sqrt(10.0)
+        hist = run_iteration(p, Schedule.oracle(), StepRule.constant_p(SQRT_E), 40, u0=u0)
+        assert [(c.name, c.observed) for c in hist.assumptions] == [
+            ("monotone-pairing", 0.0), ("taylor-remainder", 0.0)
+        ]
+        assert hist.curvature_ratio <= 1.0
+        raw = []
+        for cur, nxt in zip(hist.steps, hist.steps[1:]):
+            z = nxt.u - cur.u
+            b_z = apply_operator(p, nxt.u) - apply_operator(p, cur.u)
+            raw.append(norm(b_z - jacobian(p, cur.u) @ z) / (0.5 * p.m2_bound * norm(z) ** 2))
+        assert max(raw[:30]) <= 1.0 < 2.0 < raw[30]
+
+
 def two_inequality_verdict(problem, history, slack):
     # the pass test verify_step_recursion made before it reported an excess
     c = 0.5 * problem.m2_bound
@@ -628,7 +706,7 @@ class TestFarStart:
     # the oracle from u0 = s (1, -1, 1, ...) on the benchmark's problems at
     # seed 1; cubic-monotone fails the contraction at s = 1e4 (observed 0.33
     # at d10, 0.31 at d50) because that start lies outside the ball its
-    # curvature bound holds on, the working-ball defect of ROADMAP item 12
+    # curvature bound holds on, the working-ball defect of ROADMAP item 29
     @pytest.mark.parametrize("scale", [1.0, 1e2, 1e4])
     @pytest.mark.parametrize("make, dim, rule", BENCHMARK_RUNS[:3])
     def test_recursion_verdict_from_a_far_start(self, make, dim, rule, scale):
@@ -641,11 +719,24 @@ class TestFarStart:
         assert verify_step_recursion(p, hist).passed == expected
 
 
+def far_start_curvature_holds(make, dim, h, scale, direction):
+    """Whether ``taylor-remainder`` passes on that far start: it fails on
+    ``cubic-monotone`` wherever the steps leave the ball its curvature
+    bound holds on: from |u0| = 1e4 on, and on five d10 runs from 1e2
+    that pass ``recursion-step``."""
+    if make is make_random_monotone or scale == 1.0:
+        return True
+    if scale == 1e2:
+        return not (dim == 10 and (h == 0.5 or direction == "random"))
+    return False
+
+
 def far_start_verdict(make, dim, h, scale, direction):
     """The ``recursion-step`` verdict of the oracle from a far start, as the
     quadratic first guess and the three-root predictor gave it: the
     contraction fails on ``cubic-monotone`` from |u0| = 1e4 on (the
-    working-ball defect above), and one run stalls its Newton line search."""
+    working-ball defect above, ROADMAP item 29), and one run stalls its
+    Newton line search."""
     if (make, dim, h, scale, direction) == (make_cubic_monotone, 20, 0.5, 1e4, "+y"):
         return "NumericalFailure"
     return "fail" if make is make_cubic_monotone and scale >= 1e4 else "pass"
@@ -676,6 +767,9 @@ class TestFarStartGrid:
             verdict = "NumericalFailure"
         else:
             verdict = "pass" if verify_step_recursion(p, hist).passed else "fail"
+            pairing, taylor = hist.assumptions
+            assert pairing.passed
+            assert taylor.passed == far_start_curvature_holds(make, dim, h, scale, direction)
         assert verdict == far_start_verdict(make, dim, h, scale, direction)
 
 

@@ -39,7 +39,6 @@ from dsm import (
     as_vector,
     check_bound_chain,
     check_flow,
-    check_monotonicity,
     check_path,
     default_newton_tol,
     exponential_majorant,
@@ -63,7 +62,6 @@ from dsm import (
     solve_regularized,
     solve_to_stopping,
     stopping_time,
-    taylor_remainder_check,
     unrolled_bound,
     verify_step_recursion,
 )
@@ -99,14 +97,6 @@ CALLS = {
     "as_matrix": (as_matrix, dict(m=A, dim=3), {"m": "vector", "dim": "any"}),
     "apply_operator": (apply_operator, dict(problem=P, u=U), {"u": "vector"}),
     "jacobian": (jacobian, dict(problem=P, u=U), {"u": "vector"}),
-    "check_monotonicity": (
-        check_monotonicity,
-        dict(problem=P, trials=2, seed=0, radius=1.0),
-        {"trials": "count", "seed": "int", "radius": "number"},
-    ),
-    "taylor_remainder_check": (
-        taylor_remainder_check, dict(problem=P, u=U, z=U), {"u": "vector", "z": "vector"}
-    ),
     "reg_solve": (
         reg_solve, dict(a=A, epsilon=0.1, b=B), {"a": "vector", "epsilon": "number", "b": "vector"}
     ),
@@ -197,17 +187,15 @@ CALLS = {
     ),
     "make_problem": (
         make_problem,
-        dict(name="cubic-monotone", dim=4, seed=2, radius=1.0),
-        {"name": "str", "dim": "count", "seed": "int", "radius": "number"},
+        dict(name="cubic-monotone", dim=4, seed=2),
+        {"name": "str", "dim": "count", "seed": "int"},
     ),
     "make_psd_singular_linear": (
         make_psd_singular_linear, dict(dim=4, seed=1), {"dim": "count", "seed": "int"}
     ),
     "make_hilbert_psd": (make_hilbert_psd, dict(dim=4), {"dim": "count"}),
     "make_cubic_monotone": (
-        make_cubic_monotone,
-        dict(dim=4, seed=2, radius=1.0),
-        {"dim": "count", "seed": "int", "radius": "number"},
+        make_cubic_monotone, dict(dim=4, seed=2), {"dim": "count", "seed": "int"}
     ),
     "make_random_monotone": (
         make_random_monotone, dict(dim=4, seed=3), {"dim": "count", "seed": "int"}

@@ -11,18 +11,18 @@ ROOT = Path(__file__).resolve().parents[1]
 # the version
 PUBLIC = {
     "ChainReport", "Check", "FlowResult", "IterationHistory", "IterationStep",
-    "MAX_DIM", "MonotonicityReport", "NumericalFailure",
+    "MAX_DIM", "NumericalFailure",
     "ProblemInstance", "RecursionReport", "RegPathEntry", "RegPathResult", "RegRoot",
     "RegSolveReport", "Schedule", "StepBoundRecord", "StepRule", "StoppingResult",
-    "TaylorReport", "__version__", "add_noise", "apply_operator", "as_matrix", "as_vector",
-    "check_bound_chain", "check_flow", "check_monotonicity", "check_path", "default_newton_tol", "emit_table",
+    "__version__", "add_noise", "apply_operator", "as_matrix", "as_vector",
+    "check_bound_chain", "check_flow", "check_path", "default_newton_tol", "emit_table",
     "exponential_majorant", "geometric_weighted_sum", "inner",
     "integrate_flow", "jacobian", "main", "make_cubic_monotone", "make_hilbert_psd",
     "make_problem", "make_psd_singular_linear", "make_random_monotone",
     "minimal_norm_solution", "norm", "problem_from_dict", "reg_solve",
     "regularization_path", "run_experiment", "run_iteration",
     "simulate_recursion", "solve_noisy_to_stopping", "solve_regularized",
-    "solve_to_stopping", "stopping_time", "taylor_remainder_check", "unrolled_bound",
+    "solve_to_stopping", "stopping_time", "unrolled_bound",
     "verify_step_recursion",
 }
 
@@ -38,7 +38,7 @@ def _python(*args):
 
 
 def test_public_names_are_unchanged():
-    assert len(dsm.__all__) == len(PUBLIC) == 56
+    assert len(dsm.__all__) == len(PUBLIC) == 52
     assert set(dsm.__all__) == PUBLIC
     for name in dsm.__all__:
         assert getattr(dsm, name) is not None, name

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -14,14 +14,12 @@ from dsm import (
     apply_operator,
     as_matrix,
     as_vector,
-    check_monotonicity,
     inner,
     jacobian,
     norm,
-    taylor_remainder_check,
 )
 
-from conftest import diag_linear_problem, identity_problem, scalar_cubic_problem
+from conftest import diag_linear_problem, identity_problem
 
 
 finite_vectors = st.integers(1, 8).flatmap(
@@ -253,71 +251,3 @@ class TestJacobian:
         approx = jacobian(stripped, u)
         tol = 1e-6 * (1 + np.max(np.sum(np.abs(exact), axis=1)))
         assert np.max(np.abs(approx - exact)) <= tol
-
-
-class TestMonotonicity:
-    def test_identity_passes_with_positive_minimum(self):
-        p = identity_problem(3)
-        rep = check_monotonicity(p, trials=50, seed=0, radius=2.0)
-        assert rep.passed
-        assert rep.min_pairing > 0.0
-
-    def test_psd_diagonal_passes(self):
-        p = diag_linear_problem([0.0, 1.0], [0.0, 0.0])
-        rep = check_monotonicity(p, trials=200, seed=1, radius=5.0)
-        assert rep.passed
-
-    def test_negated_identity_fails(self):
-        p = ProblemInstance(dim=2, operator=lambda u: -u, data=np.zeros(2))
-        rep = check_monotonicity(p, trials=100, seed=2, radius=1.0)
-        assert not rep.passed
-        assert rep.min_pairing < 0.0
-
-    def test_same_seed_reproduces_report(self, cubic):
-        a = check_monotonicity(cubic, trials=64, seed=3, radius=4.0)
-        b = check_monotonicity(cubic, trials=64, seed=3, radius=4.0)
-        assert a.min_pairing == b.min_pairing
-
-    def test_trials_must_be_positive(self, cubic):
-        with pytest.raises(ValueError):
-            check_monotonicity(cubic, trials=0, seed=0, radius=1.0)
-
-
-class TestQuadraticRemainder:
-    def test_linear_operator_has_zero_remainder(self):
-        p = diag_linear_problem([1.0, 2.0], [0.0, 0.0])
-        rep = taylor_remainder_check(p, np.array([1.0, -3.0]), np.array([0.5, 0.5]))
-        assert rep.remainder <= 1e-14
-        assert rep.passed
-
-    def test_scalar_cubic_hand_values(self):
-        # remainder of u + u^3 at u=0, z=0.1 is exactly z^3 = 1e-3
-        p = scalar_cubic_problem(f=0.0, m2_bound=3.3)
-        rep = taylor_remainder_check(p, np.array([0.0]), np.array([0.1]))
-        assert rep.remainder == pytest.approx(1e-3, rel=1e-12)
-        assert rep.bound == pytest.approx(0.0165, rel=1e-12)
-        assert rep.passed
-
-    def test_zero_displacement(self):
-        p = scalar_cubic_problem()
-        rep = taylor_remainder_check(p, np.array([0.3]), np.array([0.0]))
-        assert rep.remainder == 0.0
-        assert rep.bound == 0.0
-        assert rep.passed
-
-    def test_requires_curvature_bound(self):
-        p = ProblemInstance(dim=1, operator=lambda u: u, data=np.zeros(1))
-        with pytest.raises(ValueError):
-            taylor_remainder_check(p, np.zeros(1), np.ones(1))
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1))
-    def test_corpus_problems_pass_on_random_displacements(
-        self, cubic, tanh_monotone, seed
-    ):
-        rng = np.random.default_rng(seed)
-        for p in (cubic, tanh_monotone):
-            u = rng.uniform(-1, 1, p.dim)
-            z = rng.uniform(-1, 1, p.dim)
-            z *= min(1.0, 1.0 / max(norm(z), 1e-12))
-            assert taylor_remainder_check(p, u, z).passed
