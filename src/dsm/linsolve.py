@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import NumericalFailure, _positive, as_matrix, as_vector, norm
+from .problem import NumericalFailure, _finite, _positive, as_matrix, as_vector, norm
 
 __all__ = ["RegSolveReport", "reg_solve", "MAX_DIM"]
 
@@ -65,7 +65,7 @@ def reg_solve(a, epsilon: float, b) -> RegSolveReport:
         x = np.linalg.solve(a_eps, b)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"linsolve: shifted matrix is singular at dim {n}: {exc}") from exc
-    if not np.isfinite(x).all():
+    if not _finite(x):
         raise NumericalFailure(f"linsolve: solve at dim {n} produced non-finite values")
 
     res_norm = norm(b - a_eps @ x)

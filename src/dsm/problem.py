@@ -53,6 +53,11 @@ class Check:
         return bool(self.observed <= self.bound)
 
 
+def _worst(excesses) -> float:
+    """The largest excess, floored at 0; a NaN one fails, where ``max(0.0, nan)`` is 0."""
+    return float(np.max(excesses, initial=0.0))
+
+
 def inner(u: np.ndarray, v: np.ndarray) -> float:
     """Euclidean inner product of two finite vectors."""
     return float(np.dot(as_vector(u, name="u"), as_vector(v, name="v")))
@@ -63,6 +68,12 @@ def norm(u: np.ndarray) -> float:
     ``ord=None`` sum, without its dispatch."""
     x = _reals(u, "norm's argument").ravel(order="K")
     return math.sqrt(np.vdot(x, x))  # dot's bits, but inf past the float range, not a warning
+
+
+def _finite(arr: np.ndarray) -> bool:
+    """``np.isfinite(arr).all()`` of a float64 array, by one dot product when the sum
+    of squares is finite, which proves every entry finite (none past about 1e154)."""
+    return math.isfinite(np.vdot(arr, arr)) or bool(np.isfinite(arr).all())
 
 
 def _reals(x, name: str) -> np.ndarray:
@@ -216,7 +227,7 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise ValueError(f"{name} has length {arr.shape[0]}, expected {dim}")
-    if not np.isfinite(arr).all():
+    if not _finite(arr):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -229,7 +240,7 @@ def as_matrix(m, dim: int | None = None, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise ValueError(f"{name} has size {arr.shape[0]}, expected {dim}")
-    if not np.isfinite(arr).all():
+    if not _finite(arr):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -299,7 +310,7 @@ def apply_operator(problem: ProblemInstance, u) -> np.ndarray:
         raise ValueError(
             f"operator returned shape {out.shape}, expected ({problem.dim},)"
         )
-    if not np.isfinite(out).all():
+    if not _finite(out):
         raise NumericalFailure("operator returned non-finite values")
     return out
 
@@ -324,6 +335,6 @@ def jacobian(problem: ProblemInstance, u) -> np.ndarray:
         up[j] += h
         um[j] -= h
         mat[:, j] = (apply_operator(problem, up) - apply_operator(problem, um)) / (2.0 * h)
-    if not np.all(np.isfinite(mat)):
+    if not _finite(mat):
         raise NumericalFailure("finite-difference jacobian is non-finite")
     return mat

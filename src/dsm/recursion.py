@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import _TINY, Check, _coerce, _non_negative, as_vector
+from .problem import _TINY, Check, _coerce, _non_negative, _worst, as_vector
 
 __all__ = [
     "simulate_recursion",
@@ -126,13 +126,14 @@ def check_bound_chain(g1, a, b, slack: float = 1e-12) -> ChainReport:
     only absorbs rounding; the second is a strict mathematical dominance.
     ``observed`` is the worst ``(sim - unr) / unr`` or ``(unr - maj) / maj``,
     floored at 0; the chain passes when it is at most ``bound``, the slack.
+    Sequences that overflow make it NaN or inf, a failure, not a warning.
     """
     slack = _non_negative(slack, "slack")
-    sim = simulate_recursion(g1, a, b)
-    unr = unrolled_bound(g1, a, b)
-    maj = exponential_majorant(g1, a, b)
-    excess = np.maximum(
-        (sim - unr) / np.maximum(unr, _TINY), (unr - maj) / np.maximum(maj, _TINY)
-    )
-    observed = max(0.0, float(excess.max()))
-    return ChainReport("induction-chain", observed, slack, sim, unr, maj)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sim = simulate_recursion(g1, a, b)
+        unr = unrolled_bound(g1, a, b)
+        maj = exponential_majorant(g1, a, b)
+        excess = np.maximum(
+            (sim - unr) / np.maximum(unr, _TINY), (unr - maj) / np.maximum(maj, _TINY)
+        )
+    return ChainReport("induction-chain", _worst(excess), slack, sim, unr, maj)

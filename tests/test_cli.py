@@ -426,6 +426,21 @@ class TestCliEntryPoint:
         decay = next(c for c in report["runs"][0]["checks"] if c["check"] == "residual-decay")
         assert (decay["observed"], decay["bound"], decay["margin"]) == ("inf", 0.001, "-inf")
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowed_lemma_sim_fails_induction_chain(self, tmp_path, capsys):
+        # b = 1e308 overflows the sequences; the NaN excess read as a pass after four warnings
+        code, out, err = self.run(
+            capsys, "lemma-sim", "--config", str(CONFIGS / "lemma-sim.json"), "--out", str(tmp_path),
+            "--set", "a=0.1", "--set", "b=1e308", "--set", "horizon=10",
+        )
+        assert (code, err) == (1, "")
+        assert "[FAIL] induction-chain: observed nan" in out
+        run = json.loads((tmp_path / "report.json").read_text(), parse_constant=refuse)["runs"][0]
+        assert [(c["check"], c["observed"], c["pass"]) for c in run["checks"]] == [
+            ("induction-chain", "nan", False)
+        ]
+        assert run["metrics"]["final_value"] == "inf"
+
     def test_far_start_fails_taylor_remainder(self, tmp_path, capsys):
         # from |u0| = 316 the steps leave the ball cubic-monotone's m2_bound holds on
         code, out, _ = self.run(

@@ -389,6 +389,25 @@ class TestStandingAssumptions:
         assert not taylor.passed
         assert (pairing.name, pairing.observed, pairing.passed) == ("monotone-pairing", 0.0, True)
 
+    def test_a_nan_excess_fails_both_rows(self):
+        # B(u) = 1e308 tanh(1e3 u) from u0 = -1: one step reaches u1 = 1e308,
+        # B(u1) - B(u0) overflows and so do both floors, so the excesses are
+        # NaN; max(0.0, nan) read them as 0, two passes
+        big = 1e308
+        p = ProblemInstance(
+            dim=1,
+            operator=lambda u: big * np.tanh(1e3 * u),
+            data=np.zeros(1),
+            jacobian=lambda u: np.array([[big / np.cosh(1e3 * u[0]) ** 2 * 1e3]]),
+            m2_bound=1.0,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            hist = run_iteration(p, Schedule.constant(1.0), StepRule.constant_h(1.0), 1, u0=[-1.0])
+        assert hist.steps[1].u[0] == big
+        assert [c.name for c in hist.assumptions] == ["monotone-pairing", "taylor-remainder"]
+        assert all(math.isnan(c.observed) and not c.passed for c in hist.assumptions)
+        assert math.isnan(hist.curvature_ratio)
+
     def test_rows_need_a_step_and_a_positive_curvature_bound(self, cubic):
         stopped = run_iteration(
             cubic, Schedule.constant(0.1), StepRule.constant_h(0.5), 3, stop_residual=1e300
@@ -415,7 +434,10 @@ class TestStandingAssumptions:
             z = nxt.u - cur.u
             b_z = apply_operator(p, nxt.u) - apply_operator(p, cur.u)
             raw.append(norm(b_z - jacobian(p, cur.u) @ z) / (0.5 * p.m2_bound * norm(z) ** 2))
-        assert max(raw[:30]) <= 1.0 < 2.0 < raw[30]
+        # within the 1e-4 acceptance window raw[30] is 1.23 and raw[37] 3034
+        # (2.01 and 3670 when the oracle polished eps to 1e-10)
+        assert max(raw[:30]) <= 1.0 < raw[30]
+        assert max(raw[31:]) > 1000.0
 
 
 def two_inequality_verdict(problem, history, slack):
@@ -468,6 +490,15 @@ class TestVerdictIsObservedWithinBound:
         assert report.passed == two_inequality_verdict(cubic, history, slack)
         assert report.observed == max(0.0, *(rec.excess for rec in report.records))
 
+    @pytest.mark.parametrize("step", [0, 4, 9])
+    def test_a_nan_gap_fails(self, cubic, oracle_run, step):
+        # a NaN excess on one step; max(0.0, ..., nan, ...) read it as 0
+        steps = list(oracle_run.steps)
+        steps[step] = dataclasses.replace(steps[step], gap=math.nan)
+        report = verify_step_recursion(cubic, dataclasses.replace(oracle_run, steps=steps))
+        assert math.isnan(report.observed)
+        assert not report.passed
+
 
 class TestOracleSchedule:
     # seeds at which a root returned without re-checking its own gap left
@@ -505,7 +536,8 @@ class TestOracleSchedule:
         # guess extrapolates log eps quadratically and the second evaluation
         # is a secant step on the carried slope, 610 when the guess is cubic
         # in n, the root curve goes through six roots and step 0 starts at
-        # its a-priori bound; the bound is 610 plus a 2% margin, below 662
+        # its a-priori bound, and 403 when the oracle accepts eps within its
+        # 1e-4 window instead of 1e-10; the bound is 403 plus a 2% margin
         calls = []
         solve = dsm.iterate.solve_regularized
 
@@ -521,7 +553,44 @@ class TestOracleSchedule:
             c = 0.5 * p.m2_bound
             assert all(s.epsilon >= 2.0 * c * s.gap for s in hist.steps)
             assert verify_step_recursion(p, hist).passed
-        assert len(calls) <= 622
+        assert len(calls) <= int(1.02 * 403)
+
+    @pytest.mark.parametrize("make, dim, rule", BENCHMARK_RUNS)
+    def test_every_returned_root_is_feasible_within_the_window(
+        self, make, dim, rule, monkeypatch
+    ):
+        # phi = eps - max(2 c |u - V_eps|, floor) >= 0 exactly, and either
+        # phi <= window * eps or an infeasible eps lies within window * eps
+        window = dsm.iterate._ACCEPT_WINDOW
+        evals, ends = [], []
+        solve = dsm.iterate.solve_regularized
+        oracle = dsm.iterate._oracle_epsilon
+
+        def recorded(*args, **kwargs):
+            evals.append(solve(*args, **kwargs))
+            return evals[-1]
+
+        def checked(problem, u, b, c, floor, known, n, slope=None):
+            evals.clear()
+            root, out = oracle(problem, u, b, c, floor, known, n, slope)
+            phis = {id(r): r.epsilon - max(2.0 * c * norm(u - r.v), floor) for r in evals}
+            phi = phis[id(root)]
+            assert phi >= 0.0
+            if phi <= window * root.epsilon:
+                ends.append("window")
+            else:
+                assert any(
+                    phis[id(r)] < 0.0 and abs(root.epsilon - r.epsilon) <= window * root.epsilon
+                    for r in evals
+                )
+                ends.append("bracket")
+            return root, out
+
+        monkeypatch.setattr(dsm.iterate, "solve_regularized", recorded)
+        monkeypatch.setattr(dsm.iterate, "_oracle_epsilon", checked)
+        run_iteration(make(dim=dim, seed=1), Schedule.oracle(), rule, 40)
+        assert len(ends) == 41
+        assert "window" in ends
 
     @pytest.mark.parametrize("make, dim, rule", BENCHMARK_RUNS)
     def test_every_step_after_the_third_takes_at_most_six_root_solves(
@@ -551,10 +620,13 @@ class TestOracleSchedule:
         assert max(per_step[3:]) <= 6
 
     def test_predicted_starts_halve_newton_iterations(self, monkeypatch):
-        # the degree-5 predictor on eps -> V_eps: 0.65 Newton iterations per
-        # root solve on these two benchmark problems at seed 1, against 1.06
-        # with the quadratic one and 1.96 when each solve starts from a
-        # single earlier root; the bound is 0.65 plus a 10% margin
+        # the degree-5 predictor on eps -> V_eps: 196 Newton iterations on
+        # these two benchmark problems at seed 1, 0.65 per root solve when
+        # the oracle polished eps to 1e-10, against 1.06 per root solve with
+        # the quadratic predictor and 1.96 when each solve starts from a
+        # single earlier root.  The 1e-4 acceptance window removes 103 root
+        # solves of no Newton iteration each, so the total is bounded, not
+        # the ratio (0.98 now): 196 plus a 10% margin
         roots = []
         solve = dsm.iterate.solve_regularized
 
@@ -571,7 +643,7 @@ class TestOracleSchedule:
             p = make(dim=dim, seed=1)
             hist = run_iteration(p, Schedule.oracle(), rule, 40)
             assert verify_step_recursion(p, hist).observed == 0.0
-        assert sum(root.newton_iters for root in roots) / len(roots) <= 0.71
+        assert sum(root.newton_iters for root in roots) <= int(1.1 * 196)
 
     def test_failure_names_layer_step_and_bracket(self, cubic, monkeypatch):
         monkeypatch.setattr(dsm.iterate, "_MAX_FP_EVALS", 2)
@@ -606,7 +678,8 @@ class TestCarriedSlope:
             return evals[-1]
 
         monkeypatch.setattr(dsm.iterate, "solve_regularized", recorded)
-        root, _ = dsm.iterate._oracle_epsilon(problem, u, c, floor, known, self.N, slope)
+        b = apply_operator(problem, u)
+        root, _ = dsm.iterate._oracle_epsilon(problem, u, b, c, floor, known, self.N, slope)
         monkeypatch.undo()
         assert root.epsilon >= max(2.0 * c * norm(u - root.v), floor)
         return evals
@@ -614,7 +687,7 @@ class TestCarriedSlope:
     def first_psi(self, state, floor, first):
         _, u, c, _, _ = state
         phi = first.epsilon - max(2.0 * c * norm(u - first.v), floor)
-        return phi - 0.5 * dsm.iterate._FP_RTOL * first.epsilon
+        return phi - 0.5 * dsm.iterate._ACCEPT_WINDOW * first.epsilon
 
     @pytest.mark.parametrize("slope", [0.0, -1.0, "below floor"])
     def test_an_unusable_slope_takes_the_hop(self, state, slope, monkeypatch):
@@ -655,7 +728,8 @@ def first_evaluation(problem, u, known, monkeypatch):
 
     monkeypatch.setattr(dsm.iterate, "solve_regularized", recorded)
     with pytest.raises(_Stop):
-        dsm.iterate._oracle_epsilon(problem, u, 0.5 * problem.m2_bound, 0.0, known, len(known))
+        b = apply_operator(problem, u)
+        dsm.iterate._oracle_epsilon(problem, u, b, 0.5 * problem.m2_bound, 0.0, known, len(known))
     monkeypatch.undo()
     return seen[0]
 
@@ -732,13 +806,11 @@ def far_start_curvature_holds(make, dim, h, scale, direction):
 
 
 def far_start_verdict(make, dim, h, scale, direction):
-    """The ``recursion-step`` verdict of the oracle from a far start, as the
-    quadratic first guess and the three-root predictor gave it: the
+    """The ``recursion-step`` verdict of the oracle from a far start: the
     contraction fails on ``cubic-monotone`` from |u0| = 1e4 on (the
-    working-ball defect above, ROADMAP item 29), and one run stalls its
-    Newton line search."""
-    if (make, dim, h, scale, direction) == (make_cubic_monotone, 20, 0.5, 1e4, "+y"):
-        return "NumericalFailure"
+    working-ball defect above, ROADMAP item 29).  The d20, h = 0.5, 1e4,
+    ``+y`` run stalled its Newton line search while the oracle polished
+    eps to 1e-10; within the 1e-4 window it fails like the others."""
     return "fail" if make is make_cubic_monotone and scale >= 1e4 else "pass"
 
 

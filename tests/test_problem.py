@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -17,7 +17,9 @@ from dsm import (
     inner,
     jacobian,
     norm,
+    reg_solve,
 )
+from dsm.problem import _finite
 
 from conftest import diag_linear_problem, identity_problem
 
@@ -35,6 +37,12 @@ _shapes = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6)
 float_arrays = hnp.arrays(np.float64, _shapes, elements=st.floats(-1e150, 1e150))
 int_arrays = hnp.arrays(np.int64, _shapes, elements=st.integers(-(2**40), 2**40))
 bad_values = st.sampled_from([np.nan, np.inf, -np.inf])
+# any float64, non-finite and subnormal ones included, and finite ones whose squares overflow
+any_floats = st.one_of(
+    st.floats(width=64),
+    st.floats(1e154, 1.7976931348623157e308),
+    st.sampled_from([5e-324, -2.2250738585072014e-308, 1.4e154, -1e200]),
+)
 
 
 class TestVectorBasics:
@@ -127,6 +135,45 @@ class TestVectorBasics:
             as_matrix(m, n, "a")
         with pytest.raises(ValueError, match="non-finite"):
             as_matrix(np.asfortranarray(m))
+
+
+class TestFinite:
+    @settings(max_examples=300)
+    @given(hnp.arrays(np.float64, _shapes, elements=any_floats))
+    @example(np.array([1e154, 1e154]))  # |x|^2 = 2e308 overflows, every entry finite
+    @example(np.full((2, 2), 1e200))
+    @example(np.array([5e-324, -np.inf]))
+    @example(np.zeros(0))
+    def test_same_verdict_as_the_elementwise_test(self, x):
+        assert _finite(x) == bool(np.isfinite(x).all())
+        assert _finite(np.asfortranarray(x)) == _finite(x)
+
+
+class TestRefusalMessages:
+    """Type and message of each finiteness refusal, pinned word for word."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_and_output(self, bad):
+        vec, mat = np.array([1.0, bad]), np.array([[1.0, 0.0], [bad, 1.0]])
+        emits = ProblemInstance(dim=2, operator=lambda u: vec.copy(), data=np.zeros(2))
+        cases = [
+            (lambda: as_vector(vec, 2, "u"), ValueError, "u contains non-finite entries"),
+            (lambda: as_matrix(mat, 2, "a"), ValueError, "a contains non-finite entries"),
+            (lambda: apply_operator(emits, np.zeros(2)), NumericalFailure,
+             "operator returned non-finite values"),
+            (lambda: reg_solve(mat, 1.0, np.ones(2)), ValueError, "A contains non-finite entries"),
+            (lambda: reg_solve(np.eye(2), 1.0, vec), ValueError, "b contains non-finite entries"),
+        ]
+        for call, kind, message in cases:
+            with pytest.raises(kind) as err:
+                call()
+            assert str(err.value) == message
+
+    def test_solution_past_the_float_range(self):
+        # 1e300 / 1e-300 overflows in the solve itself
+        with pytest.raises(NumericalFailure) as err:
+            reg_solve(np.zeros((1, 1)), 1e-300, [1e300])
+        assert str(err.value) == "linsolve: solve at dim 1 produced non-finite values"
 
 
 class TestCheck:

@@ -242,6 +242,15 @@ class TestBoundChain:
         assert report.bound == 1e-12
         assert report.passed
 
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowed_chain_fails_without_a_warning(self):
+        # b = 1e308 overflows all three sequences to inf and their excess to
+        # NaN, which max(0.0, nan) read as 0, a pass
+        report = check_bound_chain(1.0, np.full(10, 0.1), np.full(10, 1e308))
+        assert np.isinf(report.simulated[-1])
+        assert math.isnan(report.observed)
+        assert not report.passed
+
     def test_all_zero_chain_observes_zero(self):
         report = check_bound_chain(0.0, np.full(5, 0.5), np.zeros(5), slack=0.0)
         assert report.observed == 0.0
